@@ -100,12 +100,13 @@ def _enclose_vec(coords: tuple, roots: list):
 def enclose(value: Real, width: Fraction):
     """An interval around ``value`` of width strictly below ``width``."""
     rads = value.session.radicands
+    coords = value.coords
     depth = value.depth
     bits = 32
     while bits <= _MAX_BITS:
         try:
             roots = _root_intervals(rads, depth, bits)
-            lo, hi = _enclose_vec(value.coords, roots)
+            lo, hi = _enclose_vec(coords, roots)
         except _NeedMorePrecision:
             bits *= 2
             continue
@@ -135,12 +136,13 @@ def approx_decimal(value: Real, digits: int) -> str:
     if digits < 1:
         raise ValueError("digits must be at least 1")
     rads = value.session.radicands
+    coords = value.coords
     depth = value.depth
     bits = 32
     while bits <= _MAX_BITS:
         try:
             roots = _root_intervals(rads, depth, bits)
-            lo, hi = _enclose_vec(value.coords, roots)
+            lo, hi = _enclose_vec(coords, roots)
         except _NeedMorePrecision:
             bits *= 2
             continue

@@ -143,6 +143,9 @@ class Complex:
         return self._re == peer._re and self._im == peer._im
 
     def __hash__(self) -> int:
+        # a value on the real line equals its real part, so it hashes the same
+        if self._im.is_zero():
+            return hash(self._re)
         return hash((self._re, self._im))
 
     def serialize(self) -> str:

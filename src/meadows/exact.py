@@ -11,12 +11,24 @@ real square roots, with every partial operation totalized the meadow way:
 A :class:`Session` owns a tower of real quadratic extensions
 ``Q = F_0 < F_1 < ... < F_d`` where ``F_k = F_{k-1}(sqrt(r_k))`` for a
 radicand ``r_k`` that is strictly positive and not a square in ``F_{k-1}``.
-A value of depth ``k`` is stored as its coordinate vector of ``2**k``
-rationals over the basis of products of adjoined roots; coordinate ``i``
-multiplies the product of ``sqrt(r_{j+1})`` over the set bits ``j`` of ``i``.
-Because every radicand is a non-square one level down, the basis is linearly
-independent over Q, so representations are unique and equality is coordinate
-equality.
+Every radicand is stored as a vector of ``2**(k-1)`` Python ints.
+
+A value of depth ``k`` is stored as a numerator vector of ``2**k`` ints over
+one common positive ``int`` denominator (the layout of FLINT's
+``fmpq_poly``).  Coordinate ``i`` multiplies the product of ``sqrt(r_{j+1})``
+over the set bits ``j`` of ``i``.  Because every radicand is a non-square one
+level down, the basis is linearly independent over Q, so representations are
+unique.  Values are kept in canonical form -- zero top halves trimmed,
+``gcd(den, *num) == 1`` and ``den > 0`` -- so equality is tuple equality.
+Integer vectors are closed under the kernel's products because the radicands
+are integer vectors, so the kernel never touches a fraction: an inverse or a
+root comes back as a ``(numerators, denominator)`` pair.
+
+Each session also memoizes the positive root of every argument of ``ssqrt``
+whose root is irrational, since finding such a root again means a fresh
+search down the whole tower.  The tower only grows and the positive root is
+unique, so a cached root stays correct for the life of the session.  The memo
+grows with the number of distinct such arguments and is never evicted.
 
 Sessions are mutable (``ssqrt`` may adjoin a new level) and are meant to be
 confined to one thread; values from different sessions must never be mixed,
@@ -26,7 +38,8 @@ and attempting to do so raises :class:`SessionMismatch`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
+from operator import add, sub
 from typing import Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -34,12 +47,8 @@ Scalar = Union[int, Fraction]
 #: A sign is one of -1, 0, +1.
 SignValue = int
 
-#: Coordinate vector of length 2**depth.
-Vec = "tuple[Fraction, ...]"
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
+#: Integer coordinate vector of length 2**depth.
+Vec = "tuple[int, ...]"
 
 
 class SessionMismatch(ValueError):
@@ -56,37 +65,35 @@ class TowerInvariantError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# Raw coordinate-vector arithmetic.
+# Raw integer-vector arithmetic.
 #
 # Vectors always have length 2**k for the level k they live at; the level is
 # recovered from the length, so no explicit depth bookkeeping is threaded
-# through.  ``rads`` is the session's radicand list (radicand for level k+1 is
-# ``rads[k]``, a vector of length 2**k, stored untrimmed).
+# through.  ``rads`` is the session's radicand tuple (radicand for level k+1
+# is ``rads[k]``, an int vector of length 2**k, stored untrimmed).  Inverses
+# and roots are returned as ``(numerators, denominator)`` with a positive
+# denominator.
 # ---------------------------------------------------------------------------
 
 
 def _zeros(n: int) -> tuple:
-    return (_ZERO,) * n
-
-
-def _is_zero(a: tuple) -> bool:
-    return all(c == 0 for c in a)
-
-
-def _vadd(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vsub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return (0,) * n
 
 
 def _vneg(a: tuple) -> tuple:
     return tuple(-x for x in a)
 
 
-def _vscale(a: tuple, q: Fraction) -> tuple:
+def _vscale(a: tuple, q: int) -> tuple:
     return tuple(q * x for x in a)
+
+
+def _reduced(num: tuple, den: int) -> tuple[tuple, int]:
+    """``num/den`` with the common content divided out (``den > 0``)."""
+    g = gcd(den, *num)
+    if g == 1:
+        return num, den
+    return tuple(x // g for x in num), den // g
 
 
 def _radicand_for(rads: tuple, n: int) -> tuple:
@@ -98,12 +105,12 @@ def _vmul(rads: tuple, a: tuple, b: tuple) -> tuple:
     n = len(a)
     if n == 1:
         return (a[0] * b[0],)
-    if _is_zero(a) or _is_zero(b):
+    if not any(a) or not any(b):
         return _zeros(n)
     h = n // 2
     u1, v1 = a[:h], a[h:]
     u2, v2 = b[:h], b[h:]
-    z1, z2 = _is_zero(v1), _is_zero(v2)
+    z1, z2 = not any(v1), not any(v2)
     if z1 and z2:
         return _vmul(rads, u1, u2) + _zeros(h)
     if z2:  # b has no top component
@@ -111,29 +118,35 @@ def _vmul(rads: tuple, a: tuple, b: tuple) -> tuple:
     if z1:
         return _vmul(rads, u1, u2) + _vmul(rads, u1, v2)
     r = _radicand_for(rads, n)
-    lo = _vadd(_vmul(rads, u1, u2), _vmul(rads, _vmul(rads, v1, v2), r))
-    hi = _vadd(_vmul(rads, u1, v2), _vmul(rads, v1, u2))
-    return lo + hi
+    lo = map(add, _vmul(rads, u1, u2), _vmul(rads, _vmul(rads, v1, v2), r))
+    hi = map(add, _vmul(rads, u1, v2), _vmul(rads, v1, u2))
+    return (*lo, *hi)
 
 
-def _vinv(rads: tuple, a: tuple) -> tuple:
-    """Totalized inverse: the inverse of the zero vector is zero."""
+def _vnorm(rads: tuple, u: tuple, v: tuple) -> tuple:
+    """``u*u - v*v*r``: the norm of ``u + v*sqrt(r)`` one level down."""
+    r = _radicand_for(rads, 2 * len(u))
+    return tuple(map(sub, _vmul(rads, u, u), _vmul(rads, _vmul(rads, v, v), r)))
+
+
+def _vinv(rads: tuple, a: tuple) -> tuple[tuple, int]:
+    """Totalized inverse as ``(numerators, denominator)``: zero maps to zero."""
     n = len(a)
     if n == 1:
         c = a[0]
-        return (_ONE / c if c else _ZERO,)
+        return ((1,), c) if c > 0 else ((-1,), -c) if c else ((0,), 1)
     h = n // 2
     u, v = a[:h], a[h:]
-    if _is_zero(v):
-        return _vinv(rads, u) + _zeros(h)
-    r = _radicand_for(rads, n)
-    # 1/(u + v*sqrt(r)) = (u - v*sqrt(r)) / (u^2 - v^2*r); the denominator is
+    if not any(v):
+        num, den = _vinv(rads, u)
+        return num + _zeros(h), den
+    # 1/(u + v*sqrt(r)) = (u - v*sqrt(r)) / (u^2 - v^2*r); the norm is
     # nonzero for nonzero input, else r would be a square one level down.
-    den = _vsub(_vmul(rads, u, u), _vmul(rads, _vmul(rads, v, v), r))
-    if _is_zero(den):
+    norm = _vnorm(rads, u, v)
+    if not any(norm):
         raise TowerInvariantError("conjugate norm vanished on a nonzero value")
-    di = _vinv(rads, den)
-    return _vmul(rads, u, di) + _vneg(_vmul(rads, v, di))
+    num, den = _vinv(rads, norm)
+    return _reduced(_vmul(rads, u, num) + _vneg(_vmul(rads, v, num)), den)
 
 
 def _vsign(rads: tuple, a: tuple) -> SignValue:
@@ -143,9 +156,9 @@ def _vsign(rads: tuple, a: tuple) -> SignValue:
         return (c > 0) - (c < 0)
     h = n // 2
     u, v = a[:h], a[h:]
-    if _is_zero(v):
+    if not any(v):
         return _vsign(rads, u)
-    if _is_zero(u):
+    if not any(u):
         return _vsign(rads, v)  # sqrt(r) > 0, so v*sqrt(r) has v's sign
     su = _vsign(rads, u)
     sv = _vsign(rads, v)
@@ -153,51 +166,42 @@ def _vsign(rads: tuple, a: tuple) -> SignValue:
         return su
     # Signs differ and both parts are nonzero: compare |u| against
     # |v|*sqrt(r) by comparing u^2 against v^2*r one level down.
-    r = _radicand_for(rads, n)
-    t = _vsub(_vmul(rads, u, u), _vmul(rads, _vmul(rads, v, v), r))
-    st = _vsign(rads, t)
+    st = _vsign(rads, _vnorm(rads, u, v))
     if st == 0:
         raise TowerInvariantError("u^2 == v^2 * r with opposite-sign parts")
     return su if st > 0 else sv
 
 
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a positive rational, or None if irrational."""
-    rn = isqrt(q.numerator)
-    if rn * rn != q.numerator:
-        return None
-    rd = isqrt(q.denominator)
-    if rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
-def _vsqrt_in_tower(rads: tuple, y: tuple) -> Optional[tuple]:
+def _vsqrt_in_tower(rads: tuple, y: tuple) -> Optional[tuple[tuple, int]]:
     """A root ``w`` with ``w*w == y`` inside the existing tower, or None.
 
-    ``y`` must be strictly positive.  The returned root is some root (not
-    necessarily the positive one); callers normalize the sign.
+    ``y`` must be strictly positive.  The root comes back as
+    ``(numerators, denominator)`` and is some root (not necessarily the
+    positive one); callers normalize the sign.  Scaling an argument by a
+    positive square never changes whether a root exists, which keeps every
+    recursive argument an integer vector.
     """
     n = len(y)
     if n == 1:
-        w = _rational_sqrt(y[0])
-        return None if w is None else (w,)
+        w = isqrt(y[0])
+        return ((w,), 1) if w * w == y[0] else None
     h = n // 2
     u, v = y[:h], y[h:]
     r = _radicand_for(rads, n)
-    if _is_zero(v):
+    if not any(v):
         w = _vsqrt_in_tower(rads, u)
         if w is not None:
-            return w + _zeros(h)
-        # y == c^2 * r for some lower-tower c iff y/r is a lower square.
-        q = _vmul(rads, u, _vinv(rads, r))
-        c = _vsqrt_in_tower(rads, q)
-        if c is not None:
-            return _zeros(h) + c
-        return None
+            return w[0] + _zeros(h), w[1]
+        # y == c^2 * r for some lower-tower c iff y*r == (c*r)^2 is a lower
+        # square; then c == sqrt(y*r) / r.
+        w = _vsqrt_in_tower(rads, _vmul(rads, u, r))
+        if w is None:
+            return None
+        rn, rd = _vinv(rads, r)
+        return _reduced(_zeros(h) + _vmul(rads, w[0], rn), w[1] * rd)
     # A root a + b*sqrt(r) with v == 2ab != 0 forces a, b != 0 and
     # (a^2 - b^2*r)^2 == u^2 - v^2*r, so u^2 - v^2*r must be a lower square.
-    m = _vsub(_vmul(rads, u, u), _vmul(rads, _vmul(rads, v, v), r))
+    m = _vnorm(rads, u, v)
     sm = _vsign(rads, m)
     if sm == 0:
         raise TowerInvariantError("u^2 == v^2 * r while testing for a root")
@@ -206,20 +210,28 @@ def _vsqrt_in_tower(rads: tuple, y: tuple) -> Optional[tuple]:
     s = _vsqrt_in_tower(rads, m)
     if s is None:
         return None
-    if _vsign(rads, s) < 0:
-        s = _vneg(s)
+    sn, sd = s
+    if _vsign(rads, sn) < 0:
+        sn = _vneg(sn)
     # One of (u+s)/2, (u-s)/2 equals a^2 (the other is b^2*r, never a lower
-    # square since r is not).  b is recovered from v == 2ab.
-    for cand in (_vscale(_vadd(u, s), _HALF), _vscale(_vsub(u, s), _HALF)):
-        if _is_zero(cand) or _vsign(rads, cand) < 0:
+    # square since r is not).  With k == 2*sd, (u±s)/2 == p/k for the int
+    # vector p == u*sd ± sn, and a == sqrt(p*k)/k.  b is recovered from
+    # v == 2ab.
+    k = 2 * sd
+    us = _vscale(u, sd)
+    for p in (tuple(map(add, us, sn)), tuple(map(sub, us, sn))):
+        if not any(p) or _vsign(rads, p) < 0:
             continue
-        c = _vsqrt_in_tower(rads, cand)
-        if c is None or _is_zero(c):
+        c = _vsqrt_in_tower(rads, _vscale(p, k))
+        if c is None or not any(c[0]):
             continue
-        b = _vmul(rads, v, _vinv(rads, _vscale(c, Fraction(2))))
-        root = c + b
-        if _vmul(rads, root, root) == tuple(y):
-            return root
+        cn, cd = c[0], c[1] * k  # a == cn/cd
+        # b == v/(2a) == v*cd*inv(cn)/2
+        inv_n, inv_d = _vinv(rads, cn)
+        den = 2 * cd * inv_d
+        root = _vscale(cn, 2 * inv_d) + _vscale(_vmul(rads, v, inv_n), cd * cd)
+        if _vmul(rads, root, root) == _vscale(y, den * den):
+            return _reduced(root, den)
     return None
 
 
@@ -252,23 +264,17 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return m, f
 
 
-def _normalize_radicand(y: tuple) -> tuple[Fraction, tuple]:
-    """Split positive ``y`` as ``coeff**2 * rad`` with a tidier radicand.
+def _normalize_radicand(num: tuple, den: int) -> tuple[int, tuple]:
+    """Split positive ``num/den`` as ``(m/den)**2 * rad`` with a tidier radicand.
 
-    The rational content of ``y`` is pulled out and reduced square-free so
-    that e.g. the root of 8 is stored as ``2 * sqrt(2)`` rather than
-    ``sqrt(8)``.  Returns ``(coeff, rad)`` with ``coeff > 0``.
+    The content ``g/den`` of the value is pulled out and reduced square-free
+    (``g*den == m*m*f``) so that e.g. the root of 8 is stored as
+    ``2 * sqrt(2)`` rather than ``sqrt(8)``.  Returns ``(m, rad)`` with
+    ``m > 0`` and ``rad == (num/g) * f``, an int vector.
     """
-    num = 0
-    den = 1
-    for c in y:
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
-    content = Fraction(num, den)  # positive: y is positive so some coord != 0
-    y1 = _vscale(y, 1 / content)  # integer coordinates, content 1
-    a, b = content.numerator, content.denominator
-    m, f = _square_free_split(a * b)  # a*b == m*m*f
-    return Fraction(m, b), _vscale(y1, Fraction(f))
+    g = gcd(*num)  # positive: the value is positive, so some coord != 0
+    m, f = _square_free_split(g * den)
+    return m, tuple(c // g * f for c in num)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +293,12 @@ class Session:
     Sessions are not thread-safe; confine each one to a single thread.
     """
 
-    __slots__ = ("_radicands",)
+    __slots__ = ("_radicands", "_roots")
 
     def __init__(self) -> None:
-        self._radicands: list[tuple] = []
+        self._radicands: tuple = ()
+        # positive radicand (num, den) -> its positive root (num, den)
+        self._roots: dict[tuple, tuple] = {}
 
     @property
     def depth(self) -> int:
@@ -299,14 +307,15 @@ class Session:
 
     @property
     def radicands(self) -> tuple:
-        """Radicand coordinate vectors, level k+1 at index k (read-only)."""
-        return tuple(self._radicands)
+        """Radicand coordinate vectors as Fractions, level k+1 at index k."""
+        return tuple(tuple(Fraction(c) for c in rad) for rad in self._radicands)
 
     def rational(self, p: Scalar = 0, q: int = 1) -> Real:
         """The value ``p/q``. ``q == 0`` yields 0, matching ``x * inv(0)``."""
         if q == 0:
-            return Real(self, (_ZERO,))
-        return Real(self, (Fraction(p, q),))
+            return Real(self, (0,))
+        value = Fraction(p, q)
+        return Real(self, (value.numerator,), value.denominator)
 
     def value(self, x: Union[Real, Scalar]) -> Real:
         """Coerce an int or Fraction into this session; pass Reals through."""
@@ -331,8 +340,12 @@ class Session:
         return Real(self, self._radicands[level - 1])
 
     def check_invariants(self) -> None:
-        """Re-verify the tower: every radicand positive and not a lower square."""
-        rads = tuple(self._radicands)
+        """Re-verify the tower and the root memo.
+
+        Every radicand must be positive and not a lower square, and every
+        memoized root must be positive and square to its radicand.
+        """
+        rads = self._radicands
         for k, rad in enumerate(rads, start=1):
             if len(rad) != 1 << (k - 1):
                 raise TowerInvariantError(f"level {k} radicand has wrong arity")
@@ -340,11 +353,15 @@ class Session:
                 raise TowerInvariantError(f"level {k} radicand is not positive")
             if _vsqrt_in_tower(rads, rad) is not None:
                 raise TowerInvariantError(f"level {k} radicand is a lower square")
+        for radicand, root in self._roots.items():
+            y, w = Real(self, *radicand), Real(self, *root)
+            if w.sign() <= 0 or w * w != y:
+                raise TowerInvariantError(f"memoized root of {y!r} is wrong")
 
     def _adjoin(self, rad: tuple) -> None:
         if len(rad) != 1 << self.depth:
             raise TowerInvariantError("adjoined radicand has wrong arity")
-        self._radicands.append(rad)
+        self._radicands += (rad,)
 
     def __repr__(self) -> str:
         return f"Session(depth={self.depth})"
@@ -355,22 +372,40 @@ class Real:
 
     Supports the ring operators, zero-totalized division, and the totalized
     extras :meth:`inv`, :meth:`sign` and :meth:`ssqrt`.  Comparisons are
-    exact.  Instances are immutable and hashable.
+    exact.  Instances are immutable and hashable; a rational value hashes
+    like the equal ``int`` or ``Fraction``.
+
+    ``Real(session, num, den)`` is the value ``num/den`` for an int vector
+    ``num`` of power-of-two length and a positive int ``den``; it is brought
+    to canonical form.  A bad length or a nonpositive ``den`` raises
+    ``ValueError``, a non-int coordinate ``TypeError``.  Values are normally
+    made through the session.
     """
 
-    __slots__ = ("_session", "_coords")
+    __slots__ = ("_session", "_num", "_den")
 
-    def __init__(self, session: Session, coords: tuple) -> None:
-        n = len(coords)
-        if n & (n - 1):
+    def __init__(self, session: Session, num: tuple, den: int = 1) -> None:
+        n = len(num)
+        if n & (n - 1) or not n:
             raise ValueError("coordinate vector length must be a power of two")
+        if den <= 0:
+            raise ValueError("denominator must be positive")
         # Trim zero top halves so depth is minimal and equal values share
         # identical coordinates.
-        while n > 1 and _is_zero(coords[n // 2 :]):
-            coords = coords[: n // 2]
+        while n > 1 and not any(num[n // 2 :]):
             n //= 2
+            num = num[:n]
+        try:
+            g = gcd(den, *num)
+        except TypeError:
+            msg = "Real(session, num, den) takes int numerators and an int denominator"
+            raise TypeError(msg) from None
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
         self._session = session
-        self._coords = tuple(coords)
+        self._num = tuple(num)
+        self._den = den
 
     # -- structure ---------------------------------------------------------
 
@@ -380,33 +415,27 @@ class Real:
 
     @property
     def depth(self) -> int:
-        return len(self._coords).bit_length() - 1
+        return len(self._num).bit_length() - 1
 
     @property
     def coords(self) -> tuple:
-        """Coordinates over the root-product basis, trimmed to minimal depth."""
-        return self._coords
+        """Fraction coordinates over the root-product basis, trimmed to minimal depth."""
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     def is_zero(self) -> bool:
-        return self._coords == (_ZERO,)
+        return self._num == (0,)
 
     def is_rational(self) -> bool:
-        return len(self._coords) == 1
+        return len(self._num) == 1
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is irrational")
-        return self._coords[0]
+        return Fraction(self._num[0], self._den)
 
-    def _lift(self, depth: int) -> tuple:
-        n = len(self._coords)
-        want = 1 << depth
-        if n > want:
-            raise ValueError("cannot lower a value's level")
-        return self._coords + _zeros(want - n)
-
-    def _rads(self) -> tuple:
-        return tuple(self._session._radicands)
+    def _lifted(self, n: int) -> tuple:
+        """The numerator vector padded with zeros to length ``n``."""
+        return self._num + _zeros(n - len(self._num))
 
     def _peer(self, other: object) -> Optional[Real]:
         if isinstance(other, Real):
@@ -417,22 +446,28 @@ class Real:
             return self._session.rational(other)
         return None
 
-    def _make(self, coords: tuple) -> Real:
-        return Real(self._session, coords)
-
     # -- ring operations ----------------------------------------------------
+
+    def _combine(self, peer: Real, op) -> Real:
+        n = max(len(self._num), len(peer._num))
+        a, b = self._lifted(n), peer._lifted(n)
+        da, db = self._den, peer._den
+        if da != db:
+            g = gcd(da, db)
+            a, b = _vscale(a, db // g), _vscale(b, da // g)
+            da = da // g * db
+        return Real(self._session, tuple(map(op, a, b)), da)
 
     def __add__(self, other: object) -> Real:
         peer = self._peer(other)
         if peer is None:
             return NotImplemented
-        d = max(self.depth, peer.depth)
-        return self._make(_vadd(self._lift(d), peer._lift(d)))
+        return self._combine(peer, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> Real:
-        return self._make(_vneg(self._coords))
+        return Real(self._session, _vneg(self._num), self._den)
 
     def __pos__(self) -> Real:
         return self
@@ -441,8 +476,7 @@ class Real:
         peer = self._peer(other)
         if peer is None:
             return NotImplemented
-        d = max(self.depth, peer.depth)
-        return self._make(_vsub(self._lift(d), peer._lift(d)))
+        return self._combine(peer, sub)
 
     def __rsub__(self, other: object) -> Real:
         peer = self._peer(other)
@@ -454,8 +488,9 @@ class Real:
         peer = self._peer(other)
         if peer is None:
             return NotImplemented
-        d = max(self.depth, peer.depth)
-        return self._make(_vmul(self._rads(), self._lift(d), peer._lift(d)))
+        n = max(len(self._num), len(peer._num))
+        num = _vmul(self._session._radicands, self._lifted(n), peer._lifted(n))
+        return Real(self._session, num, self._den * peer._den)
 
     __rmul__ = __mul__
 
@@ -473,24 +508,28 @@ class Real:
         return peer * self.inv()
 
     def __pow__(self, n: int) -> Real:
+        """Square-and-multiply power; a negative ``n`` inverts the result."""
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return self._session.one
-        out = self
-        for _ in range(abs(n) - 1):
-            out = out * self
+        out, base, e = self._session.one, self, abs(n)
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out.inv() if n < 0 else out
 
     def inv(self) -> Real:
         """Totalized multiplicative inverse: ``inv(0) == 0``."""
-        return self._make(_vinv(self._rads(), self._coords))
+        num, den = _vinv(self._session._radicands, self._num)
+        return Real(self._session, _vscale(num, self._den), den)
 
     # -- order and equality --------------------------------------------------
 
     def sign(self) -> SignValue:
         """Exact sign in {-1, 0, +1}; 0 only for the zero value."""
-        return _vsign(self._rads(), self._coords)
+        return _vsign(self._session._radicands, self._num)
 
     def compare(self, other: Union[Real, Scalar]) -> SignValue:
         peer = self._peer(other)
@@ -502,10 +541,12 @@ class Real:
         peer = self._peer(other)
         if peer is None:
             return NotImplemented
-        return self._coords == peer._coords
+        return self._num == peer._num and self._den == peer._den
 
     def __hash__(self) -> int:
-        return hash((id(self._session), self._coords))
+        if self.is_rational():
+            return hash(Fraction(self._num[0], self._den))
+        return hash((id(self._session), self._num, self._den))
 
     def __lt__(self, other: object) -> bool:
         return self.compare(other) < 0
@@ -524,27 +565,41 @@ class Real:
     def ssqrt(self) -> Real:
         """Signed square root: the positive root of ``|x|`` carrying ``sign(x)``.
 
-        Reuses a root already expressible in the session tower when one
-        exists; otherwise adjoins a new level whose radicand is positive and
+        Answers from the session's root memo when it can; otherwise reuses a
+        root already expressible in the session tower when one exists, and
+        failing that adjoins a new level whose radicand is positive and
         reduced by its square rational content.
         """
         sg = self.sign()
         if sg == 0:
             return self
         y = self if sg > 0 else -self
-        rads = self._rads()
-        full = y._lift(self._session.depth)
-        w = _vsqrt_in_tower(rads, full)
-        if w is not None:
-            root = self._make(w)
-            if root.sign() < 0:
-                root = -root
-            return root if sg > 0 else -root
-        coeff, rad = _normalize_radicand(full)
-        half = len(full)
-        self._session._adjoin(rad)
-        root = self._make(_zeros(half) + (coeff,) + _zeros(half - 1))
+        session = self._session
+        key = (y._num, y._den)
+        found = session._roots.get(key)
+        if found is None:
+            root = y._root()
+            if not root.is_rational():  # a rational root is cheap to find again
+                session._roots[key] = (root._num, root._den)
+        else:
+            root = Real(session, *found)
         return root if sg > 0 else -root
+
+    def _root(self) -> Real:
+        """The positive root of this positive value, adjoining one if needed."""
+        session = self._session
+        rads = session._radicands
+        half = 1 << session.depth
+        # sqrt(num/den) == sqrt(num*den) / den
+        w = _vsqrt_in_tower(rads, _vscale(self._lifted(half), self._den))
+        if w is not None:
+            num, den = w
+            if _vsign(rads, num) < 0:
+                num = _vneg(num)
+            return Real(session, num, den * self._den)
+        m, rad = _normalize_radicand(self._lifted(half), self._den)
+        session._adjoin(rad)
+        return Real(session, _zeros(half) + (m,) + _zeros(half - 1), self._den)
 
     def pseudo_unit(self) -> Real:
         """``x * inv(x)``: exactly 1 for nonzero values, 0 at zero."""

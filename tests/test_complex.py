@@ -125,3 +125,11 @@ class TestDisplay:
         b = Complex.from_parts(s, 1, 2)
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    def test_real_line_hashes_like_its_real_part(self):
+        s = Session()
+        r2 = s.value(2).ssqrt()
+        assert Complex(r2) == r2 and hash(Complex(r2)) == hash(r2)
+        assert Complex.from_parts(s, 3) == 3 and hash(Complex.from_parts(s, 3)) == hash(3)
+        assert 3 in {Complex.from_parts(s, 3)}
+        assert Complex.from_parts(s, 3, 1) in {Complex.from_parts(s, 3, 1)}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meadows.exact import Real, Session, SessionMismatch
+from meadows.exact import Real, Session, SessionMismatch, TowerInvariantError
 
 
 @pytest.fixture()
@@ -237,12 +237,40 @@ class TestSessionDiscipline:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_rational_hash_matches_fraction_and_int(self, s):
+        assert 2 in {s.value(2)}
+        assert s.value(2) in {2}
+        assert hash(s.rational(3, 4)) == hash(Fraction(3, 4))
+        assert hash(s.rational(-5)) == hash(-5)
+        assert hash(s.zero) == hash(0)
+        r2 = s.rational(2).ssqrt()
+        assert r2 * r2 in {2}  # a product that lands on a rational
+
+    def test_irrational_values_stay_hashable(self, s):
+        r2 = s.rational(2).ssqrt()
+        r3 = s.rational(3).ssqrt()
+        values = {r2, r3, r2 * r3, 1 + r2, (1 + r2) - 1}
+        assert len(values) == 4
+        assert s.rational(6).ssqrt() in values
+
     def test_powers(self, s):
         r2 = s.rational(2).ssqrt()
         assert r2**2 == 2
         assert r2**0 == 1
+        assert s.zero**0 == 1
         assert r2**-2 == Fraction(1, 2)
+        assert r2**5 == 4 * r2
+        assert (1 + r2) ** 3 == (1 + r2) * (1 + r2) * (1 + r2)
         assert s.zero**-1 == 0  # totalized
+
+    def test_large_power_is_square_and_multiply(self, s):
+        import time
+
+        r2 = s.value(2).ssqrt()
+        start = time.perf_counter()
+        assert r2**200000 == 2**100000
+        assert r2**-3 == r2 / 4
+        assert time.perf_counter() - start < 1.0
 
     def test_invariants_after_heavy_use(self):
         sess = Session()
@@ -251,6 +279,46 @@ class TestSessionDiscipline:
             x = (x + 1).ssqrt()
         sess.check_invariants()
         assert x.sign() == 1
+
+    def test_root_memo_answers_repeats_and_stays_valid(self, s):
+        r2 = s.rational(2).ssqrt()
+        u = (2 + 2 * r2).ssqrt()
+        x = (1 + r2).ssqrt()
+        depth = s.depth
+        assert (1 + r2).ssqrt() == x  # from the memo
+        assert (-(1 + r2)).ssqrt() == -x
+        s.rational(5).ssqrt()  # the tower grows; cached roots stay right
+        assert (2 + 2 * r2).ssqrt() == u
+        assert (1 + r2).ssqrt() ** 2 == 1 + r2
+        assert s.depth == depth + 1
+        s.check_invariants()
+
+    def test_check_invariants_catches_a_bad_memo_entry(self, s):
+        r2 = s.rational(2).ssqrt()
+        s._roots[(r2._num, r2._den)] = ((3,), 1)
+        with pytest.raises(TowerInvariantError):
+            s.check_invariants()
+
+    def test_rational_roots_are_not_memoized(self, s):
+        s.rational(2).ssqrt()
+        s.rational(3).ssqrt()
+        memo = len(s._roots)
+        for i in range(1, 40):
+            assert s.value(i * i).ssqrt() == i
+            assert s.rational(i * i, 4).ssqrt() == Fraction(i, 2)
+        assert len(s._roots) == memo
+
+    def test_constructor_checks_its_arguments(self, s):
+        x = Real(s, (2, 4, 0, 0), 6)
+        assert x.coords == (Fraction(1, 3), Fraction(2, 3)) and x._den == 3
+        with pytest.raises(ValueError):
+            Real(s, (1, 2, 3))
+        with pytest.raises(ValueError):
+            Real(s, (1,), 0)
+        with pytest.raises(TypeError, match="int numerators"):
+            Real(s, (Fraction(1, 2),))
+        with pytest.raises(TypeError, match="int numerators"):
+            Real(s, (1,), 2.0)
 
     def test_radicand_value_roundtrip(self, s):
         s.rational(2).ssqrt()
