@@ -44,7 +44,6 @@ from .finite import (
     PrimeField,
     ScanResult,
     lagrange_holds,
-    make_field,
     primes_upto,
     scan_lagrange,
     verify_f3_argument,
@@ -111,7 +110,6 @@ __all__ = [
     "Complex",
     # finite meadows
     "PrimeField",
-    "make_field",
     "NotPrimeError",
     "LagrangeResult",
     "lagrange_holds",

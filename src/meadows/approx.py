@@ -8,7 +8,9 @@ which the kernel's exact decisions can be cross-checked.
 
 Radicand positivity is a session invariant, so refinement of a radicand's
 enclosure always eventually certifies a positive lower bound; a value whose
-coordinates use no roots gets a degenerate (exact) interval.
+coordinates use no roots gets a degenerate (exact) interval.  One generator
+yields the enclosures at doubling precision; :func:`enclose` and
+:func:`approx_decimal` are stopping rules over it.
 """
 
 from __future__ import annotations
@@ -97,23 +99,26 @@ def _enclose_vec(coords: tuple, roots: list):
     return total
 
 
-def enclose(value: Real, width: Fraction):
-    """An interval around ``value`` of width strictly below ``width``."""
+def _refinements(value: Real):
+    """Enclosures ``(lo, hi)`` of ``value`` at doubling working precision."""
     rads = value.session.radicands
     coords = value.coords
     depth = value.depth
     bits = 32
     while bits <= _MAX_BITS:
         try:
-            roots = _root_intervals(rads, depth, bits)
-            lo, hi = _enclose_vec(coords, roots)
+            yield _enclose_vec(coords, _root_intervals(rads, depth, bits))
         except _NeedMorePrecision:
-            bits *= 2
-            continue
-        if hi - lo < width:
-            return (lo, hi)
+            pass  # a radicand's enclosure still reaches 0; refine further
         bits *= 2
     raise RuntimeError("interval refinement failed to converge")  # pragma: no cover
+
+
+def enclose(value: Real, width: Fraction):
+    """An interval around ``value`` of width strictly below ``width``."""
+    for lo, hi in _refinements(value):
+        if hi - lo < width:
+            return (lo, hi)
 
 
 def _format_magnitude(lo: Fraction, hi: Fraction, digits: int):
@@ -135,17 +140,7 @@ def approx_decimal(value: Real, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be at least 1")
-    rads = value.session.radicands
-    coords = value.coords
-    depth = value.depth
-    bits = 32
-    while bits <= _MAX_BITS:
-        try:
-            roots = _root_intervals(rads, depth, bits)
-            lo, hi = _enclose_vec(coords, roots)
-        except _NeedMorePrecision:
-            bits *= 2
-            continue
+    for lo, hi in _refinements(value):
         if lo >= 0:
             s = _format_magnitude(lo, hi, digits)
             if s is not None:
@@ -155,8 +150,6 @@ def approx_decimal(value: Real, digits: int) -> str:
             if s is not None:
                 # avoid "-0.000" when the magnitude truncates to zero
                 return s if set(s) <= {"0", "."} else "-" + s
-        bits *= 2
-    raise RuntimeError("interval refinement failed to converge")  # pragma: no cover
 
 
 def approx_fraction(value: Real, digits: int) -> Fraction:

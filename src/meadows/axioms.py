@@ -23,7 +23,9 @@ The catalog groups the algebraic laws of the package into named suites:
 
 Equations and conditional equations are stated as terms over named variables;
 :func:`check_equation` and :func:`check_conditional` evaluate them either
-exhaustively (finite models) or on randomized valuations (exact model).
+exhaustively (finite models) or on randomized valuations (exact model).  Both
+run one checking loop, which treats an equation as a conditional equation with
+no premises; only the source of valuations depends on the model.
 :func:`check_propagation` tests that multiplying by a pseudo-unit or
 pseudo-zero propagates through arbitrary one-hole contexts, and
 :func:`check_complex_law` runs the complex suites.  :func:`run_suite`
@@ -483,21 +485,9 @@ def random_value(rng: random.Random, session: Session) -> Real:
     return value
 
 
-def _exact_failure(valuation: dict, lhs: Real, rhs: Real) -> Failure:
-    shown = {name: value.serialize() for name, value in valuation.items()}
-    return Failure(shown, lhs.serialize(), rhs.serialize())
-
-
-def _finite_failure(valuation: dict, lhs: int, rhs: int) -> Failure:
-    return Failure({k: str(v) for k, v in valuation.items()}, str(lhs), str(rhs))
-
-
-def _premises_hold(premises, valuation, evaluate) -> bool:
-    for left, right, kind in premises:
-        equal = evaluate(left, valuation) == evaluate(right, valuation)
-        if equal != (kind == "eq"):
-            return False
-    return True
+def _failure(valuation: dict, lhs, rhs) -> Failure:
+    shown = {name: str(value) for name, value in valuation.items()}
+    return Failure(shown, str(lhs), str(rhs))
 
 
 def _apply_strategy(strategy, variables, valuation, rng, session) -> None:
@@ -536,6 +526,77 @@ def _pick_mode(resolved, mode: Optional[str], nvars: int, max_exhaustive: int) -
     return mode
 
 
+def _valuations(resolved, picked: str, variables, strategy, trials: int, seed: int):
+    """Yield ``(valuation, evaluate, domain)`` for each trial of a check.
+
+    ``evaluate(term, valuation, domain)`` gives a term's value: ``eval_exact``
+    in a fresh session per trial, whose values are drawn at random and, on odd
+    trials, steered by ``strategy``; or ``eval_mod_p`` in the field, whose
+    elements are enumerated or sampled.
+    """
+    if resolved == "exact":
+        rng = random.Random(seed)
+        for trial in range(trials):
+            session = Session()
+            valuation = {name: random_value(rng, session) for name in variables}
+            if strategy is not None and trial % 2 == 1:
+                _apply_strategy(strategy, variables, valuation, rng, session)
+            yield valuation, eval_exact, session
+        return
+    fp = resolved
+    if picked == "exhaustive":
+        assignments = product(fp.elements(), repeat=len(variables))
+    else:
+        rng = random.Random(seed)
+        assignments = (
+            tuple(rng.randrange(fp.p) for _ in variables) for _ in range(trials)
+        )
+    for assignment in assignments:
+        valuation = dict(zip(variables, assignment))
+        yield valuation, eval_mod_p, fp
+
+
+def _check(
+    law, premises, strategy, model, mode, trials, seed, max_exhaustive, max_failures
+) -> CheckReport:
+    """The checking loop for both law kinds; an equation has no premises."""
+    resolved = resolve_model(model)
+    variables = law.variables
+    picked = _pick_mode(resolved, mode, len(variables), max_exhaustive)
+    failures: list[Failure] = []
+    count = satisfied = skipped = 0
+    for valuation, evaluate, domain in _valuations(
+        resolved, picked, variables, strategy, trials, seed
+    ):
+        # A loop, not any(<generator>): a generator expression here would make
+        # this loop's variables closure cells and slow down every trial.
+        for left, right, kind in premises:
+            equal = evaluate(left, valuation, domain) == evaluate(right, valuation, domain)
+            if equal != (kind == "eq"):
+                skipped += 1
+                break
+        else:
+            satisfied += 1
+            lhs = evaluate(law.lhs, valuation, domain)
+            rhs = evaluate(law.rhs, valuation, domain)
+            if lhs != rhs:
+                count += 1
+                if len(failures) < max_failures:
+                    failures.append(_failure(valuation, lhs, rhs))
+    return CheckReport(
+        law.name,
+        law.statement,
+        _model_name(resolved),
+        picked,
+        satisfied + skipped,
+        failures,
+        count,
+        satisfied=satisfied,
+        skipped=skipped,
+        seed=None if picked == "exhaustive" else seed,
+    )
+
+
 def check_equation(
     eq: Equation,
     model: Model = "exact",
@@ -547,56 +608,11 @@ def check_equation(
     max_failures: int = MAX_FAILURES,
 ) -> CheckReport:
     """Check one unconditional law against a model."""
-    resolved = resolve_model(model)
-    variables = eq.variables
-    picked = _pick_mode(resolved, mode, len(variables), max_exhaustive)
-    failures: list[Failure] = []
-    count = 0
-    total = 0
-
-    if resolved != "exact":
-        fp = resolved
-
-        def assignments():
-            if picked == "exhaustive":
-                yield from product(fp.elements(), repeat=len(variables))
-            else:
-                rng = random.Random(seed)
-                for _ in range(trials):
-                    yield tuple(rng.randrange(fp.p) for _ in variables)
-
-        for assignment in assignments():
-            valuation = dict(zip(variables, assignment))
-            lhs = eval_mod_p(eq.lhs, valuation, fp)
-            rhs = eval_mod_p(eq.rhs, valuation, fp)
-            total += 1
-            if lhs != rhs:
-                count += 1
-                if len(failures) < max_failures:
-                    failures.append(_finite_failure(valuation, lhs, rhs))
-    else:
-        rng = random.Random(seed)
-        for _ in range(trials):
-            session = Session()
-            valuation = {name: random_value(rng, session) for name in variables}
-            lhs = eval_exact(eq.lhs, valuation, session)
-            rhs = eval_exact(eq.rhs, valuation, session)
-            total += 1
-            if lhs != rhs:
-                count += 1
-                if len(failures) < max_failures:
-                    failures.append(_exact_failure(valuation, lhs, rhs))
-
-    return CheckReport(
-        eq.name,
-        eq.statement,
-        _model_name(resolved),
-        picked,
-        total,
-        failures,
-        count,
-        seed=None if picked == "exhaustive" else seed,
+    report = _check(
+        eq, (), None, model, mode, trials, seed, max_exhaustive, max_failures
     )
+    report.satisfied = report.skipped = None  # an equation has no premises to count
+    return report
 
 
 def check_conditional(
@@ -611,71 +627,9 @@ def check_conditional(
 ) -> CheckReport:
     """Check a conditional law: the conclusion, on valuations where the
     premises hold; other valuations count as skipped."""
-    resolved = resolve_model(model)
-    variables = cond.variables
-    picked = _pick_mode(resolved, mode, len(variables), max_exhaustive)
-    failures: list[Failure] = []
-    count = 0
-    satisfied = 0
-    skipped = 0
-
-    if resolved != "exact":
-        fp = resolved
-
-        def finite_eval(term, valuation):
-            return eval_mod_p(term, valuation, fp)
-
-        def assignments():
-            if picked == "exhaustive":
-                yield from product(fp.elements(), repeat=len(variables))
-            else:
-                rng = random.Random(seed)
-                for _ in range(trials):
-                    yield tuple(rng.randrange(fp.p) for _ in variables)
-
-        for assignment in assignments():
-            valuation = dict(zip(variables, assignment))
-            if not _premises_hold(cond.premises, valuation, finite_eval):
-                skipped += 1
-                continue
-            satisfied += 1
-            lhs = finite_eval(cond.lhs, valuation)
-            rhs = finite_eval(cond.rhs, valuation)
-            if lhs != rhs:
-                count += 1
-                if len(failures) < max_failures:
-                    failures.append(_finite_failure(valuation, lhs, rhs))
-    else:
-        rng = random.Random(seed)
-        for trial in range(trials):
-            session = Session()
-            valuation = {name: random_value(rng, session) for name in variables}
-            if cond.strategy is not None and trial % 2 == 1:
-                _apply_strategy(cond.strategy, variables, valuation, rng, session)
-            if not _premises_hold(
-                cond.premises, valuation, lambda t, v: eval_exact(t, v, session)
-            ):
-                skipped += 1
-                continue
-            satisfied += 1
-            lhs = eval_exact(cond.lhs, valuation, session)
-            rhs = eval_exact(cond.rhs, valuation, session)
-            if lhs != rhs:
-                count += 1
-                if len(failures) < max_failures:
-                    failures.append(_exact_failure(valuation, lhs, rhs))
-
-    return CheckReport(
-        cond.name,
-        cond.statement,
-        _model_name(resolved),
-        picked,
-        satisfied + skipped,
-        failures,
-        count,
-        satisfied=satisfied,
-        skipped=skipped,
-        seed=None if picked == "exhaustive" else seed,
+    return _check(
+        cond, cond.premises, cond.strategy, model,
+        mode, trials, seed, max_exhaustive, max_failures,
     )
 
 
@@ -730,7 +684,7 @@ def check_propagation(
         if lhs != rhs:
             count += 1
             if len(failures) < max_failures:
-                shown = _exact_failure(valuation, lhs, rhs)
+                shown = _failure(valuation, lhs, rhs)
                 shown.valuation["[context]"] = render(context)
                 shown.valuation["[plug]"] = render(plug)
                 failures.append(shown)
@@ -798,36 +752,26 @@ def run_suite(
         raise ValueError(f"unknown suite {name!r}; known suites: {known}")
     reports = []
     for law in suites[name]:
-        if isinstance(law, Equation):
-            reports.append(
-                check_equation(
-                    law,
-                    model,
-                    mode=mode,
-                    trials=trials,
-                    seed=seed,
-                    max_exhaustive=max_exhaustive,
-                    max_failures=max_failures,
-                )
-            )
-        elif isinstance(law, ConditionalEquation):
-            reports.append(
-                check_conditional(
-                    law,
-                    model,
-                    mode=mode,
-                    trials=trials,
-                    seed=seed,
-                    max_exhaustive=max_exhaustive,
-                    max_failures=max_failures,
-                )
-            )
-        else:
+        if isinstance(law, ComplexLaw):
             if resolve_model(model) != "exact":
                 raise ValueError("complex laws only run on the exact model")
             reports.append(
                 check_complex_law(
                     law, trials=trials, seed=seed, max_failures=max_failures
+                )
+            )
+        else:
+            conditional = isinstance(law, ConditionalEquation)
+            check = check_conditional if conditional else check_equation
+            reports.append(
+                check(
+                    law,
+                    model,
+                    mode=mode,
+                    trials=trials,
+                    seed=seed,
+                    max_exhaustive=max_exhaustive,
+                    max_failures=max_failures,
                 )
             )
     return reports

@@ -253,6 +253,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EvalError, UnsupportedSymbolError, NotPrimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: term nests too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -115,11 +115,6 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-def make_field(p: int) -> PrimeField:
-    """Build ``Z/pZ``; composite or too-small moduli raise NotPrimeError."""
-    return PrimeField(p)
-
-
 @dataclass(frozen=True)
 class LagrangeResult:
     """Outcome of a Lagrange probe at one prime."""

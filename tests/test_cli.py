@@ -211,3 +211,13 @@ class TestErrors:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("equal", "2^3000", "1"), ("eval", "2^3000"), ("simplify", "x^2000")],
+    )
+    def test_deep_nesting_is_bad_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: term nests too deeply\n"

@@ -11,7 +11,6 @@ from meadows.finite import (
     NotPrimeError,
     PrimeField,
     lagrange_holds,
-    make_field,
     primes_upto,
     scan_lagrange,
     verify_f3_argument,
@@ -34,7 +33,7 @@ class TestPrimeField:
             PrimeField(15)
         assert exc.value.smallest_factor == 3
         with pytest.raises(NotPrimeError):
-            make_field(1)
+            PrimeField(1)
         with pytest.raises(NotPrimeError) as exc:
             PrimeField(0)
         assert exc.value.smallest_factor is None

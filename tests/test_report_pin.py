@@ -1,0 +1,98 @@
+"""Pin seeded law-check reports and certified approximations byte for byte.
+
+The digest below was recorded before the checking engine and the approx
+refinement loop were folded into single paths.  Any change to the order of
+random draws, the failure lists, the ``satisfied``/``skipped`` counts or the
+refinement schedule changes the digest.
+"""
+
+import hashlib
+import json
+import re
+from fractions import Fraction
+
+from meadows import Session, approx_decimal, enclose, eval_exact, parse
+from meadows.axioms import (
+    ConditionalEquation,
+    Equation,
+    catalog,
+    check_conditional,
+    check_equation,
+)
+
+REPORTS_SHA256 = "1c96de0445f52a64db24505a4b0e12a54fc89bbd04dedf2b2b95ed63947b1692"
+APPROX_SHA256 = "c35db92668091078466a8554525e6a328570e082f1e8d56f13a08bb620a98a61"
+
+KNOWN_FALSE = (
+    Equation("unrestricted-inverse", parse("x * inv(x)"), parse("1")),
+    Equation("sqrt-of-sum", parse("sqrt(x + y)"), parse("sqrt(x) + sqrt(y)")),
+    ConditionalEquation(
+        "signs-determine-value",
+        ((parse("s(x)"), parse("s(y)"), "eq"),),
+        parse("x"),
+        parse("y"),
+        strategy="match-signs",
+    ),
+)
+
+NESTED_RADICALS = (
+    "0",
+    "-7/4",
+    "sqrt(2)",
+    "-sqrt(3)",
+    "sqrt(2) + sqrt(3)",
+    "sqrt(5 + 2 * sqrt(6))",
+    "sqrt(1 + sqrt(2))",
+    "inv(sqrt(2) - sqrt(3))",
+    "(1 + sqrt(5)) / 2",
+    "sqrt(2) - 577/408",
+    "(1 - sqrt(2)) / 1000000",
+    "sqrt(sqrt(2) + sqrt(sqrt(3) + 1)) - sqrt(7)",
+)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _uses_signs(law) -> bool:
+    return re.search(r"\bs\(|sqrt\(", law.statement) is not None
+
+
+def _report(law, model, **kwargs):
+    fn = check_conditional if isinstance(law, ConditionalEquation) else check_equation
+    return fn(law, model, **kwargs).to_dict()
+
+
+def test_seeded_reports_are_pinned():
+    laws = [
+        law
+        for suite in catalog().sets().values()
+        for law in suite
+        if isinstance(law, (Equation, ConditionalEquation))
+    ]
+    laws.extend(KNOWN_FALSE)
+    reports = []
+    for law in laws:
+        for seed in (0, 5):
+            reports.append(_report(law, "exact", trials=30, seed=seed))
+        if not _uses_signs(law):
+            reports.append(_report(law, "fp:5", mode="exhaustive"))
+            reports.append(
+                _report(law, "fp:13", mode="randomized", trials=50, seed=3)
+            )
+    assert len(reports) == 152
+    assert _digest(reports) == REPORTS_SHA256
+
+
+def test_approximations_are_pinned():
+    session = Session()
+    results = []
+    for src in NESTED_RADICALS:
+        value = eval_exact(parse(src), {}, session)
+        for exponent in (5, 15, 30):
+            width = Fraction(1, 10**exponent)
+            results.append([str(q) for q in enclose(value, width)])
+        for digits in (1, 3, 12, 40):
+            results.append(approx_decimal(value, digits))
+    assert _digest(results) == APPROX_SHA256
