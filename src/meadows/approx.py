@@ -116,6 +116,8 @@ def _refinements(value: Real):
 
 def enclose(value: Real, width: Fraction):
     """An interval around ``value`` of width strictly below ``width``."""
+    if width <= 0:
+        raise ValueError("width must be positive")
     for lo, hi in _refinements(value):
         if hi - lo < width:
             return (lo, hi)

@@ -23,19 +23,24 @@ The catalog groups the algebraic laws of the package into named suites:
 
 Equations and conditional equations are stated as terms over named variables;
 :func:`check_equation` and :func:`check_conditional` evaluate them either
-exhaustively (finite models) or on randomized valuations (exact model).  Both
-run one checking loop, which treats an equation as a conditional equation with
-no premises; only the source of valuations depends on the model.
+exhaustively (finite models) or on randomized valuations (exact model).
 :func:`check_propagation` tests that multiplying by a pseudo-unit or
 pseudo-zero propagates through arbitrary one-hole contexts, and
 :func:`check_complex_law` runs the complex suites.  :func:`run_suite`
 dispatches a whole suite and returns one report per law.
+
+All four checkers run one checking loop.  Each supplies a generator with one
+outcome per trial: ``(valuation, lhs, rhs)`` when the trial's premises hold
+(an equation has none), or ``None`` when they fail.  The loop counts the
+trials, keeps the first :data:`MAX_FAILURES` refutations and builds the
+:class:`CheckReport`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Union
@@ -56,7 +61,8 @@ from .terms import (
     render,
 )
 
-MAX_FAILURES = 20
+MAX_FAILURES = 20  # refuting valuations kept in a report; all are counted
+MAX_EXHAUSTIVE = 10**7  # finite checks enumerate at most this many valuations
 
 Premise = tuple[Term, Term, str]  # (left, right, "eq" | "ne")
 
@@ -242,29 +248,29 @@ class Catalog:
 
     def lagrange(self, n: int) -> tuple[Equation, ...]:
         """The n-variable sum-of-squares probe as a one-law suite."""
-        if not 1 <= n <= 4:
+        if n not in _LAGRANGE_SIZES:
             raise ValueError("n must be between 1 and 4")
-        body = "1 + " + " + ".join(f"x{i} * x{i}" for i in range(1, n + 1))
-        return (_eq(f"lagrange-{n}", f"({body}) * inv({body})", "1"),)
+        return self._suites[f"Lagrange{n}"]
 
     def sets(self) -> dict[str, tuple[Law, ...]]:
         """Every runnable suite, by name (the registry the CLI exposes)."""
-        named = {
-            "Md": self.Md,
-            "MdDerived": self.MdDerived,
-            "PseudoLaws": self.PseudoLaws,
-            "Signs": self.Signs,
-            "SignsDerived": self.SignsDerived,
-            "ILCancellation": self.ILCancellation,
-            "SquareRoots": self.SquareRoots,
-            "SqrtDerived": self.SqrtDerived,
-            "Showcase": self.Showcase,
-            "Complex": self.Complex,
-            "ComplexRestricted": self.ComplexRestricted,
-        }
-        for n in range(1, 5):
-            named[f"Lagrange{n}"] = self.lagrange(n)
+        return dict(self._suites)
+
+    @cached_property
+    def _suites(self) -> dict[str, tuple[Law, ...]]:
+        named = {f.name: getattr(self, f.name) for f in fields(self)}
+        for n in _LAGRANGE_SIZES:
+            body = "1 + " + " + ".join(f"x{i} * x{i}" for i in range(1, n + 1))
+            law = _eq(f"lagrange-{n}", f"({body}) * inv({body})", "1")
+            named[f"Lagrange{n}"] = (law,)
         return named
+
+
+_LAGRANGE_SIZES = range(1, 5)
+# Known without building the catalog, so the CLI's help text parses no law.
+SUITE_NAMES = tuple(f.name for f in fields(Catalog)) + tuple(
+    f"Lagrange{n}" for n in _LAGRANGE_SIZES
+)
 
 
 def _complex_laws() -> tuple[ComplexLaw, ...]:
@@ -490,8 +496,61 @@ def _failure(valuation: dict, lhs, rhs) -> Failure:
     return Failure(shown, str(lhs), str(rhs))
 
 
-def _apply_strategy(strategy, variables, valuation, rng, session) -> None:
-    """Steer a random valuation so a conditional's premises hold."""
+# --------------------------------------------------------------------------
+# Checkers
+# --------------------------------------------------------------------------
+
+
+def _pick_mode(resolved, mode: Optional[str], nvars: int) -> str:
+    if mode not in (None, "exhaustive", "randomized"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if resolved == "exact":
+        if mode == "exhaustive":
+            raise ValueError("exhaustive checking needs a finite model")
+        return "randomized"
+    if mode is None:
+        return "exhaustive" if resolved.p**nvars <= MAX_EXHAUSTIVE else "randomized"
+    return mode
+
+
+def _check(
+    outcomes, name, statement, model, mode, trials, seed, conditional=False
+) -> CheckReport:
+    """The one checking loop: tally the outcomes of a law's trials.
+
+    Each outcome is ``(valuation, lhs, rhs)`` for a trial whose premises hold,
+    or ``None`` for one whose premises fail.  Only a ``conditional`` report
+    carries the ``satisfied`` and ``skipped`` counts.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    failures: list[Failure] = []
+    count = satisfied = skipped = 0
+    for outcome in outcomes:
+        if outcome is None:
+            skipped += 1
+            continue
+        satisfied += 1
+        valuation, lhs, rhs = outcome
+        if lhs != rhs:
+            count += 1
+            if len(failures) < MAX_FAILURES:
+                failures.append(_failure(valuation, lhs, rhs))
+    report = CheckReport(
+        name, statement, model, mode, satisfied + skipped, failures, count, seed=seed
+    )
+    if conditional:
+        report.satisfied, report.skipped = satisfied, skipped
+    return report
+
+
+def _random_valuation(rng, variables, strategy, trial: int):
+    """Random exact values in a fresh session; on odd trials ``strategy``
+    steers them so a conditional's premises hold."""
+    session = Session()
+    valuation = {name: random_value(rng, session) for name in variables}
+    if strategy is None or trial % 2 == 0:
+        return valuation, session
     if strategy == "match-signs":
         a, b = variables[0], variables[1]
         scale = session.rational(rng.randint(1, 9), rng.randint(1, 9))
@@ -507,93 +566,58 @@ def _apply_strategy(strategy, variables, valuation, rng, session) -> None:
         valuation[c] = valuation[b]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    return valuation, session
 
 
-# --------------------------------------------------------------------------
-# Checkers
-# --------------------------------------------------------------------------
-
-
-def _pick_mode(resolved, mode: Optional[str], nvars: int, max_exhaustive: int) -> str:
-    if mode not in (None, "exhaustive", "randomized"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if resolved == "exact":
-        if mode == "exhaustive":
-            raise ValueError("exhaustive checking needs a finite model")
-        return "randomized"
-    if mode is None:
-        return "exhaustive" if resolved.p**nvars <= max_exhaustive else "randomized"
-    return mode
-
-
-def _valuations(resolved, picked: str, variables, strategy, trials: int, seed: int):
-    """Yield ``(valuation, evaluate, domain)`` for each trial of a check.
-
-    ``evaluate(term, valuation, domain)`` gives a term's value: ``eval_exact``
-    in a fresh session per trial, whose values are drawn at random and, on odd
-    trials, steered by ``strategy``; or ``eval_mod_p`` in the field, whose
-    elements are enumerated or sampled.
-    """
-    if resolved == "exact":
+def _law_outcomes(law, premises, strategy, variables, resolved, picked, trials, seed):
+    """Trial outcomes of an equation or conditional equation: exact values in
+    a fresh session per trial, or field elements enumerated or sampled."""
+    exact = resolved == "exact"
+    if exact:
         rng = random.Random(seed)
-        for trial in range(trials):
-            session = Session()
-            valuation = {name: random_value(rng, session) for name in variables}
-            if strategy is not None and trial % 2 == 1:
-                _apply_strategy(strategy, variables, valuation, rng, session)
-            yield valuation, eval_exact, session
-        return
-    fp = resolved
-    if picked == "exhaustive":
-        assignments = product(fp.elements(), repeat=len(variables))
+        evaluate, assignments = eval_exact, range(trials)
     else:
-        rng = random.Random(seed)
-        assignments = (
-            tuple(rng.randrange(fp.p) for _ in variables) for _ in range(trials)
-        )
+        evaluate, domain = eval_mod_p, resolved
+        if picked == "exhaustive":
+            assignments = product(resolved.elements(), repeat=len(variables))
+        else:
+            rng = random.Random(seed)
+            assignments = (
+                tuple(rng.randrange(resolved.p) for _ in variables)
+                for _ in range(trials)
+            )
     for assignment in assignments:
-        valuation = dict(zip(variables, assignment))
-        yield valuation, eval_mod_p, fp
-
-
-def _check(
-    law, premises, strategy, model, mode, trials, seed, max_exhaustive, max_failures
-) -> CheckReport:
-    """The checking loop for both law kinds; an equation has no premises."""
-    resolved = resolve_model(model)
-    variables = law.variables
-    picked = _pick_mode(resolved, mode, len(variables), max_exhaustive)
-    failures: list[Failure] = []
-    count = satisfied = skipped = 0
-    for valuation, evaluate, domain in _valuations(
-        resolved, picked, variables, strategy, trials, seed
-    ):
+        if exact:
+            valuation, domain = _random_valuation(rng, variables, strategy, assignment)
+        else:
+            valuation = dict(zip(variables, assignment))
         # A loop, not any(<generator>): a generator expression here would make
         # this loop's variables closure cells and slow down every trial.
         for left, right, kind in premises:
             equal = evaluate(left, valuation, domain) == evaluate(right, valuation, domain)
             if equal != (kind == "eq"):
-                skipped += 1
+                yield None
                 break
         else:
-            satisfied += 1
             lhs = evaluate(law.lhs, valuation, domain)
-            rhs = evaluate(law.rhs, valuation, domain)
-            if lhs != rhs:
-                count += 1
-                if len(failures) < max_failures:
-                    failures.append(_failure(valuation, lhs, rhs))
-    return CheckReport(
+            yield valuation, lhs, evaluate(law.rhs, valuation, domain)
+
+
+def _check_law(law, premises, strategy, model, mode, trials, seed, *, conditional):
+    resolved = resolve_model(model)
+    variables = law.variables
+    picked = _pick_mode(resolved, mode, len(variables))
+    return _check(
+        _law_outcomes(
+            law, premises, strategy, variables, resolved, picked, trials, seed
+        ),
         law.name,
         law.statement,
         _model_name(resolved),
         picked,
-        satisfied + skipped,
-        failures,
-        count,
-        satisfied=satisfied,
-        skipped=skipped,
-        seed=None if picked == "exhaustive" else seed,
+        trials,
+        None if picked == "exhaustive" else seed,
+        conditional,
     )
 
 
@@ -604,15 +628,9 @@ def check_equation(
     mode: Optional[str] = None,
     trials: int = 1000,
     seed: int = 0,
-    max_exhaustive: int = 10**7,
-    max_failures: int = MAX_FAILURES,
 ) -> CheckReport:
     """Check one unconditional law against a model."""
-    report = _check(
-        eq, (), None, model, mode, trials, seed, max_exhaustive, max_failures
-    )
-    report.satisfied = report.skipped = None  # an equation has no premises to count
-    return report
+    return _check_law(eq, (), None, model, mode, trials, seed, conditional=False)
 
 
 def check_conditional(
@@ -622,15 +640,41 @@ def check_conditional(
     mode: Optional[str] = None,
     trials: int = 1000,
     seed: int = 0,
-    max_exhaustive: int = 10**7,
-    max_failures: int = MAX_FAILURES,
 ) -> CheckReport:
     """Check a conditional law: the conclusion, on valuations where the
     premises hold; other valuations count as skipped."""
-    return _check(
-        cond, cond.premises, cond.strategy, model,
-        mode, trials, seed, max_exhaustive, max_failures,
+    return _check_law(
+        cond, cond.premises, cond.strategy, model, mode, trials, seed, conditional=True
     )
+
+
+def _propagation_outcomes(kind: str, fixed_context, trials: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        session = Session()
+        context = (
+            fixed_context
+            if fixed_context is not None
+            else gen_random_context(None, 7, rng=rng)
+        )
+        plug = gen_random_term(None, 7, rng=rng)
+        names = free_vars(context) | free_vars(plug)
+        fresh, i = "t", 0
+        while fresh in names:
+            i += 1
+            fresh = f"t{i}"
+        guard = parse(_pz(fresh) if kind == "zero" else _pu(fresh))
+        lhs_term = Mul(guard, fill(context, plug))
+        rhs_term = Mul(guard, fill(context, Mul(guard, plug)))
+        valuation = {
+            name: random_value(rng, session) for name in sorted(names | {fresh})
+        }
+        lhs = eval_exact(lhs_term, valuation, session)
+        rhs = eval_exact(rhs_term, valuation, session)
+        if lhs != rhs:  # a failure names its context and plugged term
+            valuation["[context]"] = render(context)
+            valuation["[plug]"] = render(plug)
+        yield valuation, lhs, rhs
 
 
 def check_propagation(
@@ -638,9 +682,7 @@ def check_propagation(
     *,
     trials: int = 1000,
     seed: int = 0,
-    max_term_size: int = 7,
     fixed_context: Optional[Term] = None,
-    max_failures: int = MAX_FAILURES,
 ) -> CheckReport:
     """Pseudo-unit/zero propagation through one-hole contexts (exact model).
 
@@ -649,68 +691,24 @@ def check_propagation(
 
         u * C[r]  ==  u * C[u * r]
 
-    over random contexts ``C`` (or ``fixed_context``), random plugged terms
-    ``r``, and random valuations of all variables.
+    over random contexts ``C`` (or ``fixed_context``) and plugged terms ``r``
+    of at most 7 nodes, and random valuations of all variables.
     """
     if kind not in ("unit", "zero"):
         raise ValueError("kind must be 'unit' or 'zero'")
-    rng = random.Random(seed)
-    failures: list[Failure] = []
-    count = 0
-    for _ in range(trials):
-        session = Session()
-        context = (
-            fixed_context
-            if fixed_context is not None
-            else gen_random_context(None, max_term_size, rng=rng)
-        )
-        plug = gen_random_term(None, max_term_size, rng=rng)
-        names = free_vars(context) | free_vars(plug)
-        fresh, i = "t", 0
-        while fresh in names:
-            i += 1
-            fresh = f"t{i}"
-        guard_src = f"{fresh} * inv({fresh})"
-        if kind == "zero":
-            guard_src = f"1 - {guard_src}"
-        guard = parse(guard_src)
-        lhs_term = Mul(guard, fill(context, plug))
-        rhs_term = Mul(guard, fill(context, Mul(guard, plug)))
-        valuation = {
-            name: random_value(rng, session) for name in sorted(names | {fresh})
-        }
-        lhs = eval_exact(lhs_term, valuation, session)
-        rhs = eval_exact(rhs_term, valuation, session)
-        if lhs != rhs:
-            count += 1
-            if len(failures) < max_failures:
-                shown = _failure(valuation, lhs, rhs)
-                shown.valuation["[context]"] = render(context)
-                shown.valuation["[plug]"] = render(plug)
-                failures.append(shown)
-    return CheckReport(
+    return _check(
+        _propagation_outcomes(kind, fixed_context, trials, seed),
         f"propagation-{kind}",
         f"u * C[r] == u * C[u * r] for the pseudo-{kind} u",
         "exact",
         "randomized",
         trials,
-        failures,
-        count,
-        seed=seed,
+        seed,
     )
 
 
-def check_complex_law(
-    law: ComplexLaw,
-    *,
-    trials: int = 500,
-    seed: int = 0,
-    max_failures: int = MAX_FAILURES,
-) -> CheckReport:
-    """Check one complex-extension law on random complex values."""
+def _complex_outcomes(law: ComplexLaw, trials: int, seed: int):
     rng = random.Random(seed)
-    failures: list[Failure] = []
-    count = 0
     for _ in range(trials):
         session = Session()
         values = [
@@ -718,20 +716,21 @@ def check_complex_law(
             for _ in range(law.nvars)
         ]
         lhs, rhs = law.fn(session, *values)
-        if lhs != rhs:
-            count += 1
-            if len(failures) < max_failures:
-                shown = {f"z{i + 1}": z.serialize() for i, z in enumerate(values)}
-                failures.append(Failure(shown, lhs.serialize(), rhs.serialize()))
-    return CheckReport(
+        yield {f"z{i + 1}": z for i, z in enumerate(values)}, lhs, rhs
+
+
+def check_complex_law(
+    law: ComplexLaw, *, trials: int = 500, seed: int = 0
+) -> CheckReport:
+    """Check one complex-extension law on random complex values."""
+    return _check(
+        _complex_outcomes(law, trials, seed),
         law.name,
         law.statement,
         "complex",
         "randomized",
         trials,
-        failures,
-        count,
-        seed=seed,
+        seed,
     )
 
 
@@ -742,8 +741,6 @@ def run_suite(
     mode: Optional[str] = None,
     trials: int = 1000,
     seed: int = 0,
-    max_exhaustive: int = 10**7,
-    max_failures: int = MAX_FAILURES,
 ) -> list[CheckReport]:
     """Check every law in a named suite; one report per law."""
     suites = catalog().sets()
@@ -755,23 +752,9 @@ def run_suite(
         if isinstance(law, ComplexLaw):
             if resolve_model(model) != "exact":
                 raise ValueError("complex laws only run on the exact model")
-            reports.append(
-                check_complex_law(
-                    law, trials=trials, seed=seed, max_failures=max_failures
-                )
-            )
+            reports.append(check_complex_law(law, trials=trials, seed=seed))
         else:
             conditional = isinstance(law, ConditionalEquation)
             check = check_conditional if conditional else check_equation
-            reports.append(
-                check(
-                    law,
-                    model,
-                    mode=mode,
-                    trials=trials,
-                    seed=seed,
-                    max_exhaustive=max_exhaustive,
-                    max_failures=max_failures,
-                )
-            )
+            reports.append(check(law, model, mode=mode, trials=trials, seed=seed))
     return reports

@@ -18,10 +18,10 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .axioms import catalog, check_propagation, run_suite
+from .axioms import SUITE_NAMES, check_propagation, run_suite
 from .exact import Session
 from .finite import NotPrimeError, scan_lagrange, verify_f3_argument
-from .simplify import rewrite_simplify, value_to_term
+from .simplify import decide_closed_eq, rewrite_simplify, sign_of_closed, value_to_term
 from .terms import (
     SIGMA_M,
     SIGMA_MS,
@@ -75,10 +75,7 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_equal(args) -> int:
-    session = Session()
-    left = eval_exact(parse(args.left), {}, session)
-    right = eval_exact(parse(args.right), {}, session)
-    equal = left == right
+    equal = decide_closed_eq(args.left, args.right)
     data = {
         "schema": "meadows.equal/1",
         "left": args.left,
@@ -90,9 +87,9 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_sign(args) -> int:
-    value = eval_exact(parse(args.term), {}, Session())
-    data = {"schema": "meadows.sign/1", "input": args.term, "sign": value.sign()}
-    _emit(data, args.json, [str(value.sign())])
+    sign = sign_of_closed(args.term)
+    data = {"schema": "meadows.sign/1", "input": args.term, "sign": sign}
+    _emit(data, args.json, [str(sign)])
     return 0
 
 
@@ -198,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("sign", _cmd_sign, "sign of a closed term (-1, 0, or 1)")
     p.add_argument("term")
 
-    suites = ", ".join(sorted(catalog().sets()))
+    suites = ", ".join(sorted(SUITE_NAMES))
     p = command("check", _cmd_check, f"check a law suite; suites: {suites}")
     p.add_argument("suite")
     p.add_argument("--model", default="exact", help="'exact' or 'fp:<prime>'")

@@ -151,5 +151,7 @@ class Complex:
     def serialize(self) -> str:
         return f"complex({self._re.serialize()}, {self._im.serialize()})"
 
+    __str__ = serialize
+
     def __repr__(self) -> str:
         return f"Complex({self.serialize()})"

@@ -42,6 +42,11 @@ class TestFrozenExamples:
         with pytest.raises(ValueError):
             approx_decimal(s.one, 0)
 
+    @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 10)])
+    def test_enclose_rejects_nonpositive_width(self, s, width):
+        with pytest.raises(ValueError, match="width must be positive"):
+            enclose(s.rational(2).ssqrt(), width)
+
 
 class TestCertification:
     def test_error_bound_against_float(self, s):

@@ -1,8 +1,12 @@
 """Tests for the law catalog and the model-checking engines."""
 
+import itertools
+
 import pytest
 
+from meadows import axioms
 from meadows.axioms import (
+    SUITE_NAMES,
     CheckReport,
     ConditionalEquation,
     Equation,
@@ -38,6 +42,9 @@ class TestCatalog:
         suites = catalog().sets()
         assert len(suites) == 15
         assert {"Md", "Lagrange1", "Lagrange4", "ComplexRestricted"} <= set(suites)
+
+    def test_suite_names_match_the_registry(self):
+        assert tuple(catalog().sets()) == SUITE_NAMES
 
     def test_law_names_are_unique(self):
         names = [law.name for laws in catalog().sets().values() for law in laws]
@@ -133,9 +140,7 @@ class TestFiniteExhaustive:
         assert report.verdict == "pass"
 
     def test_large_variable_count_falls_back_to_randomized(self):
-        report = check_equation(
-            catalog().lagrange(4)[0], 101, max_exhaustive=10**6, trials=64
-        )
+        report = check_equation(catalog().lagrange(4)[0], 101, trials=64)
         assert report.mode == "randomized"
 
 
@@ -204,6 +209,21 @@ class TestRandomizedExact:
         with pytest.raises(ValueError):
             check_equation(catalog().Md[0], "exact", mode="exhaustive")
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trial_counts_below_one_rejected(self, trials):
+        checks = (
+            lambda: check_equation(catalog().Md[0], "exact", trials=trials),
+            lambda: check_equation(catalog().Md[0], 5, trials=trials),
+            lambda: check_conditional(catalog().ILCancellation[0], 7, trials=trials),
+            lambda: check_propagation("unit", trials=trials),
+            lambda: check_complex_law(catalog().Complex[0], trials=trials),
+            lambda: run_suite("Md", "fp:5", mode="exhaustive", trials=trials),
+            lambda: run_suite("Complex", trials=trials),
+        )
+        for check in checks:
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                check()
+
     def test_unknown_suite_and_mode(self):
         with pytest.raises(ValueError):
             run_suite("Nonsense")
@@ -229,6 +249,25 @@ class TestPropagation:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             check_propagation("both")
+
+    def test_failures_name_the_context_and_plug(self, monkeypatch):
+        exact_eval, calls = axioms.eval_exact, itertools.count()
+
+        def skewed(term, valuation, session):  # every right-hand side is off by 1
+            value = exact_eval(term, valuation, session)
+            return value + 1 if next(calls) % 2 else value
+
+        monkeypatch.setattr(axioms, "eval_exact", skewed)
+        context = parse("sqrt([] + x)")
+        report = check_propagation("zero", trials=25, seed=1, fixed_context=context)
+        assert report.failure_count == 25
+        assert len(report.failures) == axioms.MAX_FAILURES
+        for failure in report.failures:
+            names = list(failure.valuation)
+            assert names[-2:] == ["[context]", "[plug]"]
+            assert names[:-2] == sorted(names[:-2])
+            assert failure.valuation["[context]"] == "sqrt([] + x)"
+            assert parse(failure.valuation["[plug]"]) is not None
 
 
 class TestComplexSuites:

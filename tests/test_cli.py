@@ -1,9 +1,13 @@
 """Tests for the command-line interface (driven through ``main``)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import meadows
 from meadows.cli import main
 from meadows.terms import SIGMA_M, free_vars, parse, term_size
 
@@ -119,6 +123,20 @@ class TestCheck:
         assert "not a prime" in err
 
 
+def test_building_the_parser_leaves_the_catalog_unbuilt():
+    script = (
+        "from meadows import axioms, cli\n"
+        "cli._build_parser()\n"
+        "print(axioms._CATALOG is None)\n"
+    )
+    src = os.path.dirname(os.path.dirname(meadows.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "True\n"
+
+
 class TestPropagation:
     def test_both_kinds(self, capsys):
         for kind in ("unit", "zero"):
@@ -211,6 +229,16 @@ class TestErrors:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("check", "Md", "--trials", "0"), ("propagation", "--kind", "unit", "--trials", "-3")],
+    )
+    def test_trial_count_below_one_is_bad_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: trials must be at least 1\n"
 
     @pytest.mark.parametrize(
         "argv",

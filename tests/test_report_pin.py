@@ -1,9 +1,11 @@
 """Pin seeded law-check reports and certified approximations byte for byte.
 
-The digest below was recorded before the checking engine and the approx
-refinement loop were folded into single paths.  Any change to the order of
-random draws, the failure lists, the ``satisfied``/``skipped`` counts or the
-refinement schedule changes the digest.
+``REPORTS_SHA256`` and ``APPROX_SHA256`` were recorded before the equation and
+conditional checks and the approx refinement loop were folded into single
+paths; ``PROPAGATION_COMPLEX_SHA256`` was recorded before the propagation and
+complex checks joined that loop.  Any change to the order of random draws, the
+failure lists, the ``satisfied``/``skipped`` counts or the refinement schedule
+changes a digest.
 """
 
 import hashlib
@@ -13,15 +15,21 @@ from fractions import Fraction
 
 from meadows import Session, approx_decimal, enclose, eval_exact, parse
 from meadows.axioms import (
+    ComplexLaw,
     ConditionalEquation,
     Equation,
     catalog,
+    check_complex_law,
     check_conditional,
     check_equation,
+    check_propagation,
 )
 
 REPORTS_SHA256 = "1c96de0445f52a64db24505a4b0e12a54fc89bbd04dedf2b2b95ed63947b1692"
 APPROX_SHA256 = "c35db92668091078466a8554525e6a328570e082f1e8d56f13a08bb620a98a61"
+PROPAGATION_COMPLEX_SHA256 = (
+    "c43d93e4afa721d8c68d741a2ec0ce72bd0aebb1186911371986fcf73d31fc5d"
+)
 
 KNOWN_FALSE = (
     Equation("unrestricted-inverse", parse("x * inv(x)"), parse("1")),
@@ -33,6 +41,16 @@ KNOWN_FALSE = (
         parse("y"),
         strategy="match-signs",
     ),
+)
+
+def _sqrt_of_product_full(session, z, w):
+    return (z * w).ssqrt(), z.ssqrt() * w.ssqrt()
+
+
+# false off the real line: the root reads only the real part of z * w
+COMPLEX_KNOWN_FALSE = ComplexLaw(
+    "sqrt-of-product-full", 2, "sqrt(z * w) == sqrt(z) * sqrt(w)",
+    _sqrt_of_product_full,
 )
 
 NESTED_RADICALS = (
@@ -83,6 +101,24 @@ def test_seeded_reports_are_pinned():
             )
     assert len(reports) == 152
     assert _digest(reports) == REPORTS_SHA256
+
+
+def test_propagation_and_complex_reports_are_pinned():
+    reports = []
+    for kind in ("unit", "zero"):
+        for seed in (0, 5):
+            for context in (None, parse("sqrt([] + x)")):
+                report = check_propagation(
+                    kind, trials=40, seed=seed, fixed_context=context
+                )
+                reports.append(report.to_dict())
+    laws = (*catalog().Complex, *catalog().ComplexRestricted, COMPLEX_KNOWN_FALSE)
+    for law in laws:
+        for seed in (0, 5):
+            reports.append(check_complex_law(law, trials=30, seed=seed).to_dict())
+    assert len(reports) == 24
+    assert sum(r["failure_count"] for r in reports) == 52
+    assert _digest(reports) == PROPAGATION_COMPLEX_SHA256
 
 
 def test_approximations_are_pinned():
