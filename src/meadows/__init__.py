@@ -9,11 +9,12 @@ The package is organised in layers:
 - :mod:`meadows.complexes` — complex pairs over the kernel with totalized
   inverse and real-projected sign and root.
 - :mod:`meadows.finite` — totalized prime fields, sum-of-squares probes, and
-  prime scans.
+  prime scans; it imports nothing from the other layers.
 - :mod:`meadows.terms` — term syntax: parsing, printing, substitution,
   contexts, random generation, and evaluation into either model.
 - :mod:`meadows.axioms` — the law catalog and the exhaustive/randomized
-  checking engine, including pseudo-unit/zero propagation checks.
+  checking engine, including pseudo-unit/zero propagation checks and the
+  mod-3 separation argument (``verify_f3_argument``).
 - :mod:`meadows.simplify` — closed-term normalization and equality decisions,
   plus a sound rewriting simplifier for open terms.
 - :mod:`meadows.cli` — the ``meadows`` command-line entry point.
@@ -26,6 +27,7 @@ from .axioms import (
     ComplexLaw,
     ConditionalEquation,
     Equation,
+    F3Report,
     Failure,
     catalog,
     check_complex_law,
@@ -34,11 +36,11 @@ from .axioms import (
     check_propagation,
     random_value,
     run_suite,
+    verify_f3_argument,
 )
 from .complexes import Complex
 from .exact import Real, Session, SessionMismatch, SignValue, TowerInvariantError
 from .finite import (
-    F3Report,
     LagrangeResult,
     NotPrimeError,
     PrimeField,
@@ -46,7 +48,6 @@ from .finite import (
     lagrange_holds,
     primes_upto,
     scan_lagrange,
-    verify_f3_argument,
 )
 from .simplify import (
     REWRITE_RULES,

@@ -28,6 +28,7 @@ exhaustively (finite models) or on randomized valuations (exact model).
 pseudo-zero propagates through arbitrary one-hole contexts, and
 :func:`check_complex_law` runs the complex suites.  :func:`run_suite`
 dispatches a whole suite and returns one report per law.
+:func:`verify_f3_argument` replays the mod-3 separation argument with them.
 
 All four checkers run one checking loop.  Each supplies a generator with one
 outcome per trial: ``(valuation, lhs, rhs)`` when the trial's premises hold
@@ -48,6 +49,7 @@ from typing import Callable, Optional, Union
 from .complexes import Complex
 from .exact import Real, Session
 from .finite import PrimeField
+from .simplify import value_to_term
 from .terms import (
     Mul,
     Term,
@@ -508,8 +510,14 @@ def _pick_mode(resolved, mode: Optional[str], nvars: int) -> str:
         if mode == "exhaustive":
             raise ValueError("exhaustive checking needs a finite model")
         return "randomized"
+    count = resolved.p**nvars
     if mode is None:
-        return "exhaustive" if resolved.p**nvars <= MAX_EXHAUSTIVE else "randomized"
+        return "exhaustive" if count <= MAX_EXHAUSTIVE else "randomized"
+    if mode == "exhaustive" and count > MAX_EXHAUSTIVE:
+        raise ValueError(
+            f"exhaustive checking would enumerate {count} valuations, "
+            f"more than the cap of {MAX_EXHAUSTIVE}"
+        )
     return mode
 
 
@@ -758,3 +766,55 @@ def run_suite(
             check = check_conditional if conditional else check_equation
             reports.append(check(law, model, mode=mode, trials=trials, seed=seed))
     return reports
+
+
+# --------------------------------------------------------------------------
+# The mod-3 separation argument
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class F3Report:
+    """The mod-3 obstruction to mapping the exact world onto a finite one.
+
+    ``F_3`` satisfies both the meadow laws and the one-variable Lagrange
+    identity, yet evaluates ``(1+1+1) * inv(1+1+1)`` to 0 where the exact
+    kernel gives 1 — so no identity-preserving homomorphism from the exact
+    model onto ``F_3`` can exist.
+    """
+
+    squares_mod_3: tuple[int, ...]
+    md_and_l1_pass: bool
+    display_term: str
+    finite_value: int
+    exact_value: str
+    homomorphism_impossible: bool
+
+    def as_dict(self) -> dict:
+        return {
+            "schema": "meadows.f3/1",
+            "squares_mod_3": list(self.squares_mod_3),
+            "md_and_l1_pass": self.md_and_l1_pass,
+            "display_term": self.display_term,
+            "finite_value": self.finite_value,
+            "exact_value": self.exact_value,
+            "homomorphism_impossible": self.homomorphism_impossible,
+        }
+
+
+def verify_f3_argument() -> F3Report:
+    """Recompute, from scratch, each step of the mod-3 separation argument."""
+    fp = PrimeField(3)
+    laws = catalog().Md + catalog().lagrange(1)
+    ok = all(check_equation(eq, fp, mode="exhaustive").verdict == "pass" for eq in laws)
+    term = parse("(1 + 1 + 1) / (1 + 1 + 1)")
+    finite_value = eval_mod_p(term, {}, fp)
+    exact_value = render(value_to_term(eval_exact(term, {}, Session())))
+    return F3Report(
+        squares_mod_3=tuple(sorted(fp.squares)),
+        md_and_l1_pass=ok,
+        display_term=render(term),
+        finite_value=finite_value,
+        exact_value=exact_value,
+        homomorphism_impossible=(finite_value == 0 and exact_value == "1"),
+    )

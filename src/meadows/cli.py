@@ -18,9 +18,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .axioms import SUITE_NAMES, check_propagation, run_suite
+from .axioms import SUITE_NAMES, check_propagation, run_suite, verify_f3_argument
 from .exact import Session
-from .finite import NotPrimeError, scan_lagrange, verify_f3_argument
+from .finite import NotPrimeError, scan_lagrange
 from .simplify import decide_closed_eq, rewrite_simplify, sign_of_closed, value_to_term
 from .terms import (
     SIGMA_M,

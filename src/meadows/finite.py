@@ -2,8 +2,9 @@
 
 A :class:`PrimeField` is ``Z/pZ`` with inversion made total by ``inv(0) == 0``
 — the finite counterpart of the exact kernel.  Residues are plain ints in
-``range(p)``; the field object owns the modulus and the precomputed set of
-squares.
+``range(p)``; the field object owns the modulus and one table, built on first
+use, that maps each square to its least root.  The module imports nothing from the rest of the
+package.
 
 The *Lagrange probe* for exponent ``n`` asks whether the identity
 
@@ -48,7 +49,7 @@ def _smallest_factor(n: int) -> Optional[int]:
 class PrimeField:
     """``Z/pZ`` with totalized inversion. ``p`` is verified prime on build."""
 
-    __slots__ = ("p", "squares", "_smallest_root")
+    __slots__ = ("p", "_roots")
 
     def __init__(self, p: int) -> None:
         if p < 2:
@@ -57,8 +58,7 @@ class PrimeField:
         if f is not None:
             raise NotPrimeError(p, f)
         self.p = p
-        self.squares = frozenset((x * x) % p for x in range(p))
-        self._smallest_root: Optional[dict[int, int]] = None
+        self._roots: Optional[dict[int, int]] = None  # square -> least root
 
     def element(self, x: int) -> int:
         return x % self.p
@@ -85,25 +85,18 @@ class PrimeField:
 
     def smallest_root(self, a: int) -> Optional[int]:
         """The least x with ``x*x == a`` mod p, or None if a is a non-square."""
-        if self._smallest_root is None:
-            table: dict[int, int] = {}
-            for x in range(self.p):
-                table.setdefault((x * x) % self.p, x)
-            self._smallest_root = table
-        return self._smallest_root.get(a % self.p)
+        if self._roots is None:
+            # Built on first use: law checks never read it.  x and p - x share
+            # a square, so the least roots lie in 0..p // 2, and no two of
+            # those share one.
+            self._roots = {x * x % self.p: x for x in range(self.p // 2 + 1)}
+        return self._roots.get(a % self.p)
 
-    def self_check(self) -> None:
-        """Exhaustively re-verify the defining laws on this field.
-
-        Delegates to the axiom engine; intended for small p (the acceptance
-        suite runs it for p <= 13).
-        """
-        from .axioms import run_suite
-
-        for name in ("Md", "MdDerived", "PseudoLaws", "ILCancellation"):
-            for report in run_suite(name, self):
-                if report.verdict != "pass":
-                    raise AssertionError(f"{report.name} fails over F_{self.p}")
+    @property
+    def squares(self) -> frozenset[int]:
+        """The squares mod p, 0 included: the keys of the root table."""
+        self.smallest_root(0)
+        return frozenset(self._roots)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -203,61 +196,3 @@ def scan_lagrange(n: int, limit: int) -> ScanResult:
             assert res.witness is not None and res.verify()
             sample[p] = res.witness
     return ScanResult(n, limit, tuple(holds), sample)
-
-
-@dataclass(frozen=True)
-class F3Report:
-    """The mod-3 obstruction to mapping the exact world onto a finite one.
-
-    ``F_3`` satisfies both the meadow laws and the one-variable Lagrange
-    identity, yet evaluates ``(1+1+1) * inv(1+1+1)`` to 0 where the exact
-    kernel gives 1 — so no identity-preserving homomorphism from the exact
-    model onto ``F_3`` can exist.
-    """
-
-    squares_mod_3: tuple[int, ...]
-    md_and_l1_pass: bool
-    display_term: str
-    finite_value: int
-    exact_value: str
-    homomorphism_impossible: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": "meadows.f3/1",
-            "squares_mod_3": list(self.squares_mod_3),
-            "md_and_l1_pass": self.md_and_l1_pass,
-            "display_term": self.display_term,
-            "finite_value": self.finite_value,
-            "exact_value": self.exact_value,
-            "homomorphism_impossible": self.homomorphism_impossible,
-        }
-
-
-def verify_f3_argument() -> F3Report:
-    """Recompute, from scratch, each step of the mod-3 separation argument."""
-    from .axioms import catalog, check_equation
-    from .exact import Session
-    from .simplify import value_to_term
-    from .terms import eval_mod_p, eval_exact, parse, render
-
-    fp = PrimeField(3)
-    squares = tuple(sorted(fp.squares))
-
-    ok = True
-    for eq in catalog().Md + catalog().lagrange(1):
-        report = check_equation(eq, fp, mode="exhaustive")
-        ok = ok and report.verdict == "pass"
-
-    term = parse("(1 + 1 + 1) / (1 + 1 + 1)")
-    finite_value = eval_mod_p(term, {}, fp)
-    session = Session()
-    exact_value = render(value_to_term(eval_exact(term, {}, session)))
-    return F3Report(
-        squares_mod_3=squares,
-        md_and_l1_pass=ok,
-        display_term=render(term),
-        finite_value=finite_value,
-        exact_value=exact_value,
-        homomorphism_impossible=(finite_value == 0 and exact_value == "1"),
-    )

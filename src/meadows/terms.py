@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .exact import Real, Session
+from .finite import PrimeField
 
 __all__ = [
     "Term", "Const", "Var", "Add", "Mul", "Neg", "Inv", "Sign", "Sqrt",
@@ -405,30 +406,29 @@ def eval_mod_p(t: Term, valuation: Mapping[str, int], field) -> int:
     ``field`` is a :class:`meadows.finite.PrimeField` (or a prime int, which
     is promoted).  Inversion is total with ``inv(0) == 0``; a rational
     constant ``p/q`` evaluates to ``p * inv(q)``, which is 0 when ``q``
-    vanishes modulo the characteristic.
+    vanishes modulo the characteristic.  Sums, products and negations are
+    taken in the integers and reduced once, at the end (``inv`` reduces its
+    own argument); reduction mod p is a ring map, so this is exact.
     """
     if isinstance(field, int):
-        from .finite import PrimeField
-
         field = PrimeField(field)
-    return _eval_mod(t, valuation, field)
+    return _eval_mod(t, valuation, field) % field.p
 
 
 def _eval_mod(t: Term, valuation: Mapping[str, int], field) -> int:
-    p = field.p
     if isinstance(t, Const):
-        return field.mul(t.value.numerator % p, field.inv(t.value.denominator % p))
+        return t.value.numerator * field.inv(t.value.denominator)
     if isinstance(t, Var):
         try:
-            return valuation[t.name] % p
+            return valuation[t.name]
         except KeyError:
             raise EvalError(f"unbound variable {t.name!r}") from None
     if isinstance(t, Add):
-        return field.add(_eval_mod(t.left, valuation, field), _eval_mod(t.right, valuation, field))
+        return _eval_mod(t.left, valuation, field) + _eval_mod(t.right, valuation, field)
     if isinstance(t, Mul):
-        return field.mul(_eval_mod(t.left, valuation, field), _eval_mod(t.right, valuation, field))
+        return _eval_mod(t.left, valuation, field) * _eval_mod(t.right, valuation, field)
     if isinstance(t, Neg):
-        return field.neg(_eval_mod(t.arg, valuation, field))
+        return -_eval_mod(t.arg, valuation, field)
     if isinstance(t, Inv):
         return field.inv(_eval_mod(t.arg, valuation, field))
     if isinstance(t, (Sign, Sqrt)):

@@ -16,14 +16,10 @@ from meadows.axioms import (
     check_propagation,
     random_value,
     run_suite,
-)
-from meadows.exact import Session
-from meadows.finite import (
-    lagrange_holds,
-    primes_upto,
-    scan_lagrange,
     verify_f3_argument,
 )
+from meadows.exact import Session
+from meadows.finite import lagrange_holds, primes_upto, scan_lagrange
 from meadows.simplify import decide_closed_eq, normalize_closed, rewrite_simplify
 from meadows.terms import (
     HOLE,

@@ -143,6 +143,14 @@ class TestFiniteExhaustive:
         report = check_equation(catalog().lagrange(4)[0], 101, trials=64)
         assert report.mode == "randomized"
 
+    def test_explicit_exhaustive_mode_over_the_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(axioms, "MAX_EXHAUSTIVE", 100)
+        law = catalog().lagrange(2)[0]
+        with pytest.raises(ValueError, match=r"\b121 valuations.* cap of 100\b"):
+            check_equation(law, "fp:11", mode="exhaustive")
+        assert check_equation(law, "fp:11").mode == "randomized"
+        assert check_equation(law, "fp:7", mode="exhaustive").trials == 49
+
 
 class TestRandomizedExact:
     def test_equational_suites_pass(self):

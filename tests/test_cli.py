@@ -240,6 +240,17 @@ class TestErrors:
         assert out == ""
         assert err == "error: trials must be at least 1\n"
 
+    def test_exhaustive_mode_over_the_cap_is_bad_input(self, capsys, monkeypatch):
+        monkeypatch.setattr(meadows.axioms, "MAX_EXHAUSTIVE", 100)
+        argv = ("check", "Lagrange2", "--model", "fp:11", "--mode", "exhaustive")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: exhaustive checking would enumerate 121 valuations, "
+            "more than the cap of 100\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [("equal", "2^3000", "1"), ("eval", "2^3000"), ("simplify", "x^2000")],

@@ -5,15 +5,14 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from meadows.axioms import F3Report, verify_f3_argument
 from meadows.finite import (
-    F3Report,
     LagrangeResult,
     NotPrimeError,
     PrimeField,
     lagrange_holds,
     primes_upto,
     scan_lagrange,
-    verify_f3_argument,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -75,24 +74,28 @@ class TestPrimeField:
         fp = PrimeField(13)
         euler = {a for a in range(13) if a == 0 or pow(a, 6, 13) == 1}
         assert fp.squares == euler
+        # Brute force over every residue, p = 2 included.
+        for p in primes_upto(60):
+            assert PrimeField(p).squares == {x * x % p for x in range(p)}
 
     def test_smallest_root(self):
         fp = PrimeField(7)
         assert fp.smallest_root(2) == 3  # 3*3 = 9 == 2, and 4 also works
         assert fp.smallest_root(0) == 0
         assert fp.smallest_root(3) is None
+        # Against a scan for the least root, p = 2 included; arguments
+        # outside range(p) are reduced first.
+        for p in primes_upto(60):
+            fp = PrimeField(p)
+            for a in range(-p, 2 * p):
+                least = next((x for x in range(p) if x * x % p == a % p), None)
+                assert fp.smallest_root(a) == least
 
     def test_equality_and_repr(self):
         assert PrimeField(5) == PrimeField(5)
         assert PrimeField(5) != PrimeField(7)
         assert hash(PrimeField(5)) == hash(PrimeField(5))
         assert repr(PrimeField(5)) == "PrimeField(5)"
-
-
-class TestSelfCheck:
-    def test_small_fields_pass(self):
-        for p in SMALL_PRIMES:
-            PrimeField(p).self_check()
 
 
 class TestPrimesUpto:

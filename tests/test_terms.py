@@ -211,6 +211,24 @@ class TestEvalModP:
         with pytest.raises(UnsupportedSymbolError):
             eval_mod_p(parse("sqrt(x)"), {"x": 1}, 5)
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("s([])", UnsupportedSymbolError, "'s' has no finite-field interpretation"),
+            ("sqrt(y)", UnsupportedSymbolError, "'sqrt' has no finite-field interpretation"),
+            ("[] + s(x)", EvalError, "cannot evaluate a context hole"),
+            ("s(x) + y", UnsupportedSymbolError, "'s' has no finite-field interpretation"),
+            ("inv(z)", EvalError, "unbound variable 'z'"),
+        ],
+    )
+    def test_error_precedence(self, text, error, message):
+        # The first failing node in left-to-right order names the error, and
+        # s and sqrt are rejected before their argument is evaluated.
+        with pytest.raises(ValueError) as exc:
+            eval_mod_p(parse(text), {"x": 1}, 5)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
 
 class TestGeneration:
     def test_deterministic(self):
