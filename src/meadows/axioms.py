@@ -34,7 +34,9 @@ All four checkers run one checking loop.  Each supplies a generator with one
 outcome per trial: ``(valuation, lhs, rhs)`` when the trial's premises hold
 (an equation has none), or ``None`` when they fail.  The loop counts the
 trials, keeps the first :data:`MAX_FAILURES` refutations and builds the
-:class:`CheckReport`.
+:class:`CheckReport`.  An equation or conditional equation is compiled once
+per model kind into straight-line code (``terms._compile``), which every
+trial runs; the compiled code lives as long as the law.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Union
+from weakref import WeakKeyDictionary
 
 from .complexes import Complex
 from .exact import Real, Session
@@ -53,6 +56,7 @@ from .simplify import value_to_term
 from .terms import (
     Mul,
     Term,
+    _compile,
     eval_exact,
     eval_mod_p,
     fill,
@@ -577,38 +581,44 @@ def _random_valuation(rng, variables, strategy, trial: int):
     return valuation, session
 
 
+# Each law's compiled evaluators by model kind (exact or not); an entry lives
+# exactly as long as its law.
+_COMPILED: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _compiled(law, premises, exact: bool):
+    by_kind = _COMPILED.get(law)
+    if by_kind is None:
+        by_kind = _COMPILED[law] = {}
+    evaluate = by_kind.get(exact)
+    if evaluate is None:
+        evaluate = by_kind[exact] = _compile(premises, law.lhs, law.rhs, exact)
+    return evaluate
+
+
 def _law_outcomes(law, premises, strategy, variables, resolved, picked, trials, seed):
     """Trial outcomes of an equation or conditional equation: exact values in
-    a fresh session per trial, or field elements enumerated or sampled."""
+    a fresh session per trial, or field elements enumerated or sampled, each
+    run through the law's compiled code."""
     exact = resolved == "exact"
+    evaluate, domain = _compiled(law, premises, exact), resolved
     if exact:
         rng = random.Random(seed)
-        evaluate, assignments = eval_exact, range(trials)
+        assignments = range(trials)
+    elif picked == "exhaustive":
+        assignments = product(resolved.elements(), repeat=len(variables))
     else:
-        evaluate, domain = eval_mod_p, resolved
-        if picked == "exhaustive":
-            assignments = product(resolved.elements(), repeat=len(variables))
-        else:
-            rng = random.Random(seed)
-            assignments = (
-                tuple(rng.randrange(resolved.p) for _ in variables)
-                for _ in range(trials)
-            )
+        rng = random.Random(seed)
+        assignments = (
+            tuple(rng.randrange(resolved.p) for _ in variables) for _ in range(trials)
+        )
     for assignment in assignments:
         if exact:
             valuation, domain = _random_valuation(rng, variables, strategy, assignment)
         else:
             valuation = dict(zip(variables, assignment))
-        # A loop, not any(<generator>): a generator expression here would make
-        # this loop's variables closure cells and slow down every trial.
-        for left, right, kind in premises:
-            equal = evaluate(left, valuation, domain) == evaluate(right, valuation, domain)
-            if equal != (kind == "eq"):
-                yield None
-                break
-        else:
-            lhs = evaluate(law.lhs, valuation, domain)
-            yield valuation, lhs, evaluate(law.rhs, valuation, domain)
+        sides = evaluate(valuation, domain)
+        yield None if sides is None else (valuation, *sides)
 
 
 def _check_law(law, premises, strategy, model, mode, trials, seed, *, conditional):
@@ -755,16 +765,17 @@ def run_suite(
     if name not in suites:
         known = ", ".join(sorted(suites))
         raise ValueError(f"unknown suite {name!r}; known suites: {known}")
+    resolved = resolve_model(model)  # once: building a field tests p for primality
     reports = []
     for law in suites[name]:
         if isinstance(law, ComplexLaw):
-            if resolve_model(model) != "exact":
+            if resolved != "exact":
                 raise ValueError("complex laws only run on the exact model")
             reports.append(check_complex_law(law, trials=trials, seed=seed))
         else:
             conditional = isinstance(law, ConditionalEquation)
             check = check_conditional if conditional else check_equation
-            reports.append(check(law, model, mode=mode, trials=trials, seed=seed))
+            reports.append(check(law, resolved, mode=mode, trials=trials, seed=seed))
     return reports
 
 

@@ -439,6 +439,84 @@ def _eval_mod(t: Term, valuation: Mapping[str, int], field) -> int:
     raise TypeError(f"not a term: {t!r}")  # pragma: no cover
 
 
+class _Raised(Exception):
+    """The compiled code just raised; nothing after it can run."""
+
+
+def _compile(premises: Sequence[tuple], lhs: Term, rhs: Term, exact: bool):
+    """Straight-line code for a law, for the exact model or for prime fields.
+
+    Returns ``law(valuation, domain)``, where ``domain`` is the trial's
+    :class:`Session` (``exact``) or a :class:`PrimeField`, and ``valuation``
+    binds every variable of the law.  It returns ``None`` as soon as a
+    premise ``(left, right, "eq" | "ne")`` fails, else the two sides: what
+    :func:`eval_exact` or :func:`eval_mod_p` give for ``lhs`` and ``rhs``,
+    or the error they raise first.  The nodes are emitted in the order the
+    walks first evaluate them, each distinct subterm once, so the exact
+    session adjoins the same roots in the same order.  Over a field, sums,
+    products and negations stay in Z and are reduced once at the end, and
+    the node where the walk raises, before its children, becomes a
+    ``raise``.  Only ints and ``repr`` of variable names go into the source.
+    """
+    lines: list[str] = []
+    slots: dict[Term, str] = {}
+
+    def emit(t: Term) -> str:
+        name = slots.get(t)
+        if name is not None:
+            return name
+        if isinstance(t, Hole):
+            lines.append("raise EvalError('cannot evaluate a context hole')")
+            raise _Raised
+        if isinstance(t, (Sign, Sqrt)) and not exact:
+            sym = "s" if isinstance(t, Sign) else "sqrt"
+            message = f"{sym!r} has no finite-field interpretation"
+            lines.append(f"raise UnsupportedSymbolError({message!r})")
+            raise _Raised
+        if isinstance(t, Const):
+            n, d = t.value.numerator, t.value.denominator
+            if exact:
+                expr = f"rational({n}, {d})"
+            else:
+                expr = str(n) if d == 1 else f"{n} * inv({d})"
+        elif isinstance(t, Var):
+            expr = f"value(v[{t.name!r}])" if exact else f"v[{t.name!r}]"
+        elif isinstance(t, (Add, Mul)):
+            left = emit(t.left)
+            expr = f"{left} {'+' if isinstance(t, Add) else '*'} {emit(t.right)}"
+        elif isinstance(t, Neg):
+            expr = f"-{emit(t.arg)}"
+        elif isinstance(t, Inv):
+            expr = f"{emit(t.arg)}.inv()" if exact else f"inv({emit(t.arg)})"
+        elif isinstance(t, Sign):
+            expr = f"rational({emit(t.arg)}.sign())"
+        elif isinstance(t, Sqrt):
+            expr = f"{emit(t.arg)}.ssqrt()"
+        else:  # pragma: no cover
+            raise TypeError(f"not a term: {t!r}")
+        name = slots[t] = f"t{len(slots)}"
+        lines.append(f"{name} = {expr}")
+        return name
+
+    try:
+        for left, right, kind in premises:
+            a, b = emit(left), emit(right)
+            same = f"{a} == {b}" if exact else f"({a} - {b}) % p == 0"
+            lines.append(f"if {'not ' if kind == 'eq' else ''}{same}: return None")
+        a, b = emit(lhs), emit(rhs)
+        lines.append(f"return {a}, {b}" if exact else f"return {a} % p, {b} % p")
+    except _Raised:
+        pass
+    if exact:
+        head = ["rational = domain.rational", "value = domain.value"]
+    else:
+        head = ["inv = domain.inv", "p = domain.p"]
+    source = "def law(v, domain):\n" + "".join(f"    {line}\n" for line in head + lines)
+    namespace = {"EvalError": EvalError, "UnsupportedSymbolError": UnsupportedSymbolError}
+    exec(compile(source, "<compiled law>", "exec"), namespace)
+    return namespace["law"]
+
+
 # ---------------------------------------------------------------------------
 # Random generation (deterministic in the seed).
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from meadows import axioms
+from meadows import axioms, finite
 from meadows.axioms import (
     SUITE_NAMES,
     CheckReport,
@@ -20,7 +20,15 @@ from meadows.axioms import (
 )
 from meadows.exact import Session
 from meadows.finite import NotPrimeError, PrimeField
-from meadows.terms import HOLE, Sign, Sqrt, eval_exact, parse
+from meadows.terms import (
+    HOLE,
+    EvalError,
+    Sign,
+    Sqrt,
+    UnsupportedSymbolError,
+    eval_exact,
+    parse,
+)
 
 
 class TestCatalog:
@@ -142,6 +150,39 @@ class TestFiniteExhaustive:
     def test_large_variable_count_falls_back_to_randomized(self):
         report = check_equation(catalog().lagrange(4)[0], 101, trials=64)
         assert report.mode == "randomized"
+
+    def test_run_suite_builds_the_field_once(self, monkeypatch):
+        calls = []
+        trial_division = finite._smallest_factor
+        monkeypatch.setattr(
+            finite, "_smallest_factor", lambda n: calls.append(n) or trial_division(n)
+        )
+        reports = run_suite("Md", "fp:7")
+        assert calls == [7]
+        assert [r.model for r in reports] == ["fp:7"] * 10
+
+    @pytest.mark.parametrize(
+        "lhs, error, message",
+        [
+            ("s(sqrt(x))", UnsupportedSymbolError, "'s' has no finite-field interpretation"),
+            ("sqrt(s(x))", UnsupportedSymbolError, "'sqrt' has no finite-field interpretation"),
+            ("s([])", UnsupportedSymbolError, "'s' has no finite-field interpretation"),
+            ("[] + s(x)", EvalError, "cannot evaluate a context hole"),
+        ],
+    )
+    def test_unsupported_symbols_raise_at_the_outermost_leftmost_node(
+        self, lhs, error, message
+    ):
+        with pytest.raises(error) as info:
+            check_equation(Equation("no-field-meaning", parse(lhs), parse("x")), "fp:5")
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_premise_that_never_holds_skips_an_unsupported_conclusion(self):
+        never = ((parse("x"), parse("x + 1"), "eq"),)
+        law = ConditionalEquation("vacuous", never, parse("sqrt(x)"), parse("x"))
+        report = check_conditional(law, "fp:7")
+        assert report.verdict == "pass"
+        assert (report.satisfied, report.skipped) == (0, 7)
 
     def test_explicit_exhaustive_mode_over_the_cap_rejected(self, monkeypatch):
         monkeypatch.setattr(axioms, "MAX_EXHAUSTIVE", 100)
