@@ -47,7 +47,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Union
-from weakref import WeakKeyDictionary
+from weakref import finalize
 
 from .complexes import Complex
 from .exact import Real, Session
@@ -581,15 +581,18 @@ def _random_valuation(rng, variables, strategy, trial: int):
     return valuation, session
 
 
-# Each law's compiled evaluators by model kind (exact or not); an entry lives
-# exactly as long as its law.
-_COMPILED: WeakKeyDictionary = WeakKeyDictionary()
+# Each law's compiled evaluators by model kind (exact or not), keyed by the
+# law's id because hashing a law re-hashes every node of its terms.  A
+# finalizer drops the entry when the law is collected, before its id can be
+# reused, so an entry lives exactly as long as its law.
+_COMPILED: dict[int, dict[bool, Callable]] = {}
 
 
 def _compiled(law, premises, exact: bool):
-    by_kind = _COMPILED.get(law)
+    by_kind = _COMPILED.get(id(law))
     if by_kind is None:
-        by_kind = _COMPILED[law] = {}
+        by_kind = _COMPILED[id(law)] = {}
+        finalize(law, _COMPILED.pop, id(law), None)
     evaluate = by_kind.get(exact)
     if evaluate is None:
         evaluate = by_kind[exact] = _compile(premises, law.lhs, law.rhs, exact)

@@ -2,9 +2,11 @@
 
 A :class:`PrimeField` is ``Z/pZ`` with inversion made total by ``inv(0) == 0``
 — the finite counterpart of the exact kernel.  Residues are plain ints in
-``range(p)``; the field object owns the modulus and one table, built on first
-use, that maps each square to its least root.  The module imports nothing from the rest of the
-package.
+``range(p)``; the field object holds only the modulus.  The modulus is proved
+prime by trial division up to 1000 and deterministic Miller–Rabin above, and
+square roots come from Euler's criterion and Tonelli–Shanks, so both cost
+time polynomial in the bit length of ``p``.  The module imports nothing from
+the rest of the package.
 
 The *Lagrange probe* for exponent ``n`` asks whether the identity
 
@@ -24,32 +26,93 @@ from typing import Optional
 
 
 class NotPrimeError(ValueError):
-    """Modulus rejected; carries the smallest witness factor when composite."""
+    """Modulus rejected; carries the smallest witness factor when one was
+    found by trial division, else None (``n < 2`` or a Miller–Rabin witness)."""
 
-    def __init__(self, n: int, smallest_factor: Optional[int]) -> None:
-        if smallest_factor is None:
-            super().__init__(f"{n} is not a prime (need p >= 2)")
-        else:
+    def __init__(
+        self, n: int, smallest_factor: Optional[int], witness: Optional[int] = None
+    ) -> None:
+        if smallest_factor is not None:
             super().__init__(f"{n} is not a prime: divisible by {smallest_factor}")
+        elif witness is not None:
+            super().__init__(f"{n} is not a prime (Miller–Rabin witness {witness})")
+        else:
+            super().__init__(f"{n} is not a prime (need p >= 2)")
         self.smallest_factor = smallest_factor
 
 
+_TRIAL_BOUND = 1000
+# Miller–Rabin with the first 13 prime bases decides primality of every
+# n < _MILLER_RABIN_LIMIT (Sorenson and Webster 2015).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def _odd_part(n: int) -> tuple[int, int]:
+    """``(q, s)`` with ``n == q * 2**s`` and q odd, for n > 0."""
+    s = (n & -n).bit_length() - 1
+    return n >> s, s
+
+
 def _smallest_factor(n: int) -> Optional[int]:
-    """Smallest nontrivial factor by trial division, or None for primes."""
+    """Smallest nontrivial factor up to ``min(isqrt(n), 1000)``, or None when
+    n >= 2 is prime.
+
+    Trial division settles every n below 1001**2; above that, deterministic
+    Miller–Rabin raises :class:`NotPrimeError` for a composite with no small
+    factor, and ``ValueError`` when n is too large for its bases to decide.
+    """
     if n % 2 == 0:
         return 2 if n > 2 else None
-    d = 3
-    while d * d <= n:
+    root = isqrt(n)
+    for d in range(3, min(root, _TRIAL_BOUND) + 1, 2):
         if n % d == 0:
             return d
-        d += 2
+    if root <= _TRIAL_BOUND:
+        return None
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: it has no factor up to "
+            f"{_TRIAL_BOUND} and is at least {_MILLER_RABIN_LIMIT}"
+        )
+    q, s = _odd_part(n - 1)
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, q, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            raise NotPrimeError(n, None, witness=a)
     return None
+
+
+def _tonelli_shanks(a: int, p: int) -> int:
+    """A square root of a nonzero square ``a`` mod an odd prime ``p``
+    (Shanks 1973): O(log p) multiplications per loop, at most log p loops."""
+    q, m = _odd_part(p - 1)
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:  # up to the least non-residue
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    # Invariants: r*r == a*t, t has order 2**i for some i < m, c has order 2**m.
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 class PrimeField:
     """``Z/pZ`` with totalized inversion. ``p`` is verified prime on build."""
 
-    __slots__ = ("p", "_roots")
+    __slots__ = ("p",)
 
     def __init__(self, p: int) -> None:
         if p < 2:
@@ -58,7 +121,6 @@ class PrimeField:
         if f is not None:
             raise NotPrimeError(p, f)
         self.p = p
-        self._roots: Optional[dict[int, int]] = None  # square -> least root
 
     def element(self, x: int) -> int:
         return x % self.p
@@ -85,18 +147,21 @@ class PrimeField:
 
     def smallest_root(self, a: int) -> Optional[int]:
         """The least x with ``x*x == a`` mod p, or None if a is a non-square."""
-        if self._roots is None:
-            # Built on first use: law checks never read it.  x and p - x share
-            # a square, so the least roots lie in 0..p // 2, and no two of
-            # those share one.
-            self._roots = {x * x % self.p: x for x in range(self.p // 2 + 1)}
-        return self._roots.get(a % self.p)
+        p = self.p
+        a %= p
+        if a == 0 or p == 2:
+            return a
+        if pow(a, (p - 1) // 2, p) != 1:  # Euler's criterion
+            return None
+        r = pow(a, (p + 1) // 4, p) if p % 4 == 3 else _tonelli_shanks(a, p)
+        # A nonzero square has exactly the two roots r and p - r.
+        return min(r, p - r)
 
     @property
     def squares(self) -> frozenset[int]:
-        """The squares mod p, 0 included: the keys of the root table."""
-        self.smallest_root(0)
-        return frozenset(self._roots)
+        """The squares mod p, 0 included.  x and p - x share a square, so
+        0..p // 2 reach them all."""
+        return frozenset(x * x % self.p for x in range(self.p // 2 + 1))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

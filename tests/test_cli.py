@@ -122,6 +122,29 @@ class TestCheck:
         assert code == 2
         assert "not a prime" in err
 
+    def test_large_prime_modulus(self, capsys):
+        # Trial division alone took seconds to accept this modulus.
+        code, out, _ = run(
+            capsys, "check", "Md", "--model", "fp:10000000000000061", "--trials", "5"
+        )
+        assert code == 0
+        names = [
+            "add-associative", "add-commutative", "add-zero-identity", "add-negation",
+            "mul-associative", "mul-commutative", "mul-one-identity",
+            "mul-distributes-over-add", "inv-involution", "restricted-inverse-law",
+        ]
+        assert out == "".join(
+            f"[PASS] {name} over fp:10000000000000061 (randomized, 5 trials, 0 failures)\n"
+            for name in names
+        ) + "10 laws checked, 0 failing valuations\n"
+
+    def test_modulus_too_large_to_decide(self, capsys):
+        code, _, err = run(
+            capsys, "check", "Md", "--model", "fp:3317044064679887385961981"
+        )
+        assert code == 2
+        assert "cannot decide whether 3317044064679887385961981 is prime" in err
+
 
 def test_building_the_parser_leaves_the_catalog_unbuilt():
     script = (

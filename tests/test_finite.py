@@ -1,5 +1,7 @@
 """Tests for the totalized prime fields and the Lagrange probes."""
 
+import hashlib
+import json
 from itertools import product
 
 import pytest
@@ -26,6 +28,43 @@ def brute_lex_witness(p, n):
     return None
 
 
+SMALL_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Primes too large to scan: p = 3 mod 4, p = 5 mod 8, and p - 1 divisible by
+# 2**23 and 2**30, which make Tonelli–Shanks loop many times.
+LARGE_PRIMES = (2**61 - 1, 10000000000000061, 998244353, 3221225473)
+
+
+def strong_probable_prime(n, a):
+    """Does odd n pass the strong Fermat test to base a?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def jacobi(a, n):
+    """Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
 class TestPrimeField:
     def test_rejects_composites(self):
         with pytest.raises(NotPrimeError) as exc:
@@ -40,6 +79,38 @@ class TestPrimeField:
     def test_accepts_primes(self):
         for p in SMALL_PRIMES + [97, 10007]:
             assert PrimeField(p).p == p
+
+    def test_composite_without_small_factor(self):
+        # A strong pseudoprime to every prime base up to 37: only 41 exposes it.
+        n = 318665857834031151167461
+        assert all(strong_probable_prime(n, a) for a in SMALL_PRIME_BASES[:-1])
+        assert not strong_probable_prime(n, 41)
+        with pytest.raises(NotPrimeError) as exc:
+            PrimeField(n)
+        assert exc.value.smallest_factor is None
+        assert str(exc.value) == f"{n} is not a prime (Miller–Rabin witness 41)"
+
+    def test_primality_beyond_the_bases_is_refused(self):
+        # A strong pseudoprime to all thirteen bases with no factor below 1000.
+        n = 3317044064679887385961981
+        assert all(strong_probable_prime(n, a) for a in SMALL_PRIME_BASES)
+        with pytest.raises(ValueError) as exc:
+            PrimeField(n)
+        assert type(exc.value) is ValueError
+
+    def test_small_factor_is_reported(self):
+        with pytest.raises(NotPrimeError) as exc:
+            PrimeField(561)  # a Carmichael number
+        assert exc.value.smallest_factor == 3
+        # Trial division up to 1000 names the factor of every composite
+        # below 10**6; past that, Miller–Rabin names a witness instead.
+        with pytest.raises(NotPrimeError) as exc:
+            PrimeField(997 * 997)
+        assert exc.value.smallest_factor == 997
+        with pytest.raises(NotPrimeError) as exc:
+            PrimeField(1009 * 1013)
+        assert exc.value.smallest_factor is None
+        assert str(exc.value).endswith("(Miller–Rabin witness 2)")
 
     def test_field_arithmetic(self):
         fp = PrimeField(7)
@@ -96,6 +167,27 @@ class TestPrimeField:
         assert PrimeField(5) != PrimeField(7)
         assert hash(PrimeField(5)) == hash(PrimeField(5))
         assert repr(PrimeField(5)) == "PrimeField(5)"
+
+
+@given(
+    st.sampled_from(primes_upto(3000)),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from(LARGE_PRIMES),
+    st.integers(0, 2**64),
+)
+def test_smallest_root_matches_brute_force(p, a, big, b):
+    least = next((x for x in range(p) if x * x % p == a % p), None)
+    assert PrimeField(p).smallest_root(a) == least
+    # Past a scan: a root is checked by squaring, a non-root by the Jacobi
+    # symbol; the small residues include primitive roots squared (9 for
+    # 998244353, 25 for 3221225473), whose roots take the longest loops.
+    fp = PrimeField(big)
+    for c in (b, *range(-30, 31)):
+        r = fp.smallest_root(c)
+        if jacobi(c, big) == -1:
+            assert r is None
+        else:
+            assert r is not None and r * r % big == c % big and 0 <= r <= big // 2
 
 
 class TestPrimesUpto:
@@ -166,6 +258,26 @@ class TestScan:
         assert d["schema"] == "meadows.scan/1"
         assert d["holds"] == [3, 7]
         assert d["counterexample_sample"] == {"2": [1], "5": [2]}
+
+
+# sha256 of the sorted-key JSON of scan_lagrange(n, limit).as_dict(), recorded
+# with a table of least roots per prime, independently of Tonelli–Shanks.
+SCAN_DIGESTS = {
+    (1, 2000): "36576bb4bb6b62f62009c79fa7f37ac4bd1f5a8efcf2483ac3b5225eea08aa7b",
+    (2, 2000): "0b48c005bd4b63b05d8467b8ffb57caaa098f16a204847639ca57430015a65fb",
+    (3, 2000): "77eb5acce68b8dc75372b1f31d35b2194bcc1130896c1eae34427c1dadd125d0",
+    (4, 500): "299c392f9b41ed36f0f750a6c07ad0a4e8a1f770336964bbeda436e69e4e7453",
+}
+
+
+def test_scan_outputs_pinned():
+    for (n, limit), digest in SCAN_DIGESTS.items():
+        text = json.dumps(scan_lagrange(n, limit).as_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, limit)
+    for p in primes_upto(150):
+        for n in (1, 2, 3):
+            witness = brute_lex_witness(p, n)
+            assert lagrange_holds(p, n) == LagrangeResult(p, n, witness is None, witness)
 
 
 class TestF3Argument:
