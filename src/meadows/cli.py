@@ -14,6 +14,7 @@ result (failures found / terms differ), 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -167,6 +168,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache  # argparse parsers are reusable; build one per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meadows",

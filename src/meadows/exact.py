@@ -614,9 +614,11 @@ class Real:
     def approx_decimal(self, digits: int = 10) -> str:
         """Certified decimal string within 10**-digits of the exact value.
 
-        Computed by interval refinement with rational endpoints; see
-        :mod:`meadows.approx`.  The kernel's own sign decisions are never
-        consulted, which makes this an independent cross-check channel.
+        Computed by interval refinement in integers, whose enclosures equal
+        the rational ones of endpoint-by-endpoint interval arithmetic
+        exactly; see :mod:`meadows.approx`.  The kernel's own sign decisions
+        are never consulted, which makes this an independent cross-check
+        channel.
         """
         from . import approx
 

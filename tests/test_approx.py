@@ -1,12 +1,14 @@
 """Decimal-channel tests: certified truncations and kernel cross-checks."""
 
+import contextlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from meadows.approx import approx_decimal, approx_fraction, enclose
+from meadows.approx import _MAX_BITS, _MAX_DIGITS, approx_decimal, approx_fraction, enclose
 from meadows.exact import Session
 
 
@@ -109,3 +111,47 @@ class TestCertification:
         # float oracle for sqrt(1+sqrt(1+sqrt(3)))
         f = math.sqrt(1 + math.sqrt(1 + math.sqrt(1 + 2)))
         assert abs(float(Fraction(out)) - f) < 1e-9
+
+
+@contextlib.contextmanager
+def int_str_limit(digits):
+    """Run a block under ``sys.set_int_max_str_digits(digits)`` (0: no limit)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestDigitLimit:
+    """Decimals longer than CPython's int<->str digit limit."""
+
+    def test_5000_digits_of_sqrt2_under_the_lowest_limit(self, s):
+        with int_str_limit(0):
+            expected = str(math.isqrt(2 * 10**10000))
+        with int_str_limit(640):
+            out = approx_decimal(s.rational(2).ssqrt(), 5000)
+            negated = approx_decimal(-s.rational(2).ssqrt(), 5000)
+        assert out == f"{expected[0]}.{expected[1:]}"
+        assert negated == "-" + out
+
+    def test_fraction_is_built_from_ints(self, s):
+        x = s.rational(2).ssqrt()
+        assert approx_fraction(x, 4400) == Fraction(math.isqrt(2 * 10**8800), 10**4400)
+        assert approx_fraction(-x, 4400) == -approx_fraction(x, 4400)
+
+    def test_digits_beyond_the_precision_cap_are_refused(self, s):
+        assert 10**_MAX_DIGITS <= 2**_MAX_BITS < 10 ** (_MAX_DIGITS + 1)
+        with pytest.raises(ValueError, match=f"digits must be at most {_MAX_DIGITS}"):
+            approx_decimal(s.rational(1, 3), _MAX_DIGITS + 1)
+        with pytest.raises(ValueError, match="at most"):
+            approx_fraction(s.rational(2).ssqrt(), 10**9)
+
+    def test_long_integer_part(self, s):
+        x = s.rational(10**1500 + 1, 3)
+        with int_str_limit(0):
+            expected = str((10**1500 + 1) * 100 // 3)
+        with int_str_limit(640):
+            out = approx_decimal(x, 2)
+        assert out == f"{expected[:-2]}.{expected[-2:]}"

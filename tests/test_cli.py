@@ -34,6 +34,11 @@ class TestEval:
         assert data["decimal"] == "0.70710678118654"
         assert data["sign"] == 1
 
+    def test_digits_over_the_cap_are_bad_input(self, capsys):
+        code, out, err = run(capsys, "eval", "--digits", "3000000", "1/3")
+        assert (code, out) == (2, "")
+        assert err == "error: digits must be at most 315652\n"
+
     def test_division_by_zero_is_total(self, capsys):
         code, out, _ = run(capsys, "eval", "--json", "1/0")
         assert code == 0
@@ -158,6 +163,24 @@ def test_building_the_parser_leaves_the_catalog_unbuilt():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "True\n"
+
+
+def test_a_reused_parser_answers_like_a_fresh_one(capsys):
+    from meadows import cli
+
+    calls = [
+        ("eval", "--json", "sqrt(2) + 1/3"),
+        ("eval", "--digits", "x", "2"),
+        ("--help",),
+        ("eval", "--digits", "20", "sqrt(3)"),
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0]
+    assert reused == fresh
 
 
 class TestPropagation:
