@@ -160,6 +160,15 @@ def _decimal(n: int) -> str:
     return "".join(reversed(chunks))
 
 
+def _parse_decimal(digits: str) -> int:
+    """The inverse of :func:`_decimal`, in chunks that fit every digit limit."""
+    head = len(digits) % _CHUNK
+    n = int(digits[:head] or 0)
+    for i in range(head, len(digits), _CHUNK):
+        n = n * _CHUNK_BASE + int(digits[i : i + _CHUNK])
+    return n
+
+
 def approx_decimal(value: Real, digits: int) -> str:
     """Decimal string ``d`` with ``|value - d| < 10**-digits``.
 

@@ -52,7 +52,6 @@ from weakref import finalize
 from .complexes import Complex
 from .exact import Real, Session
 from .finite import PrimeField
-from .simplify import value_to_term
 from .terms import (
     Mul,
     Term,
@@ -80,10 +79,15 @@ class Equation:
     name: str
     lhs: Term
     rhs: Term
+    premises = ()  # not fields: the checker reads both from any law
+    strategy = None
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return tuple(sorted(free_vars(self.lhs) | free_vars(self.rhs)))
+        names = free_vars(self.lhs) | free_vars(self.rhs)
+        for left, right, _ in self.premises:
+            names |= free_vars(left) | free_vars(right)
+        return tuple(sorted(names))
 
     @property
     def statement(self) -> str:
@@ -109,12 +113,7 @@ class ConditionalEquation:
     rhs: Term
     strategy: Optional[str] = None
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        names = free_vars(self.lhs) | free_vars(self.rhs)
-        for left, right, _ in self.premises:
-            names |= free_vars(left) | free_vars(right)
-        return tuple(sorted(names))
+    variables = Equation.variables
 
     @property
     def statement(self) -> str:
@@ -588,23 +587,23 @@ def _random_valuation(rng, variables, strategy, trial: int):
 _COMPILED: dict[int, dict[bool, Callable]] = {}
 
 
-def _compiled(law, premises, exact: bool):
+def _compiled(law, exact: bool):
     by_kind = _COMPILED.get(id(law))
     if by_kind is None:
         by_kind = _COMPILED[id(law)] = {}
         finalize(law, _COMPILED.pop, id(law), None)
     evaluate = by_kind.get(exact)
     if evaluate is None:
-        evaluate = by_kind[exact] = _compile(premises, law.lhs, law.rhs, exact)
+        evaluate = by_kind[exact] = _compile(law.premises, law.lhs, law.rhs, exact)
     return evaluate
 
 
-def _law_outcomes(law, premises, strategy, variables, resolved, picked, trials, seed):
+def _law_outcomes(law, variables, resolved, picked, trials, seed):
     """Trial outcomes of an equation or conditional equation: exact values in
     a fresh session per trial, or field elements enumerated or sampled, each
     run through the law's compiled code."""
     exact = resolved == "exact"
-    evaluate, domain = _compiled(law, premises, exact), resolved
+    evaluate, domain = _compiled(law, exact), resolved
     if exact:
         rng = random.Random(seed)
         assignments = range(trials)
@@ -617,28 +616,26 @@ def _law_outcomes(law, premises, strategy, variables, resolved, picked, trials, 
         )
     for assignment in assignments:
         if exact:
-            valuation, domain = _random_valuation(rng, variables, strategy, assignment)
+            valuation, domain = _random_valuation(rng, variables, law.strategy, assignment)
         else:
             valuation = dict(zip(variables, assignment))
         sides = evaluate(valuation, domain)
         yield None if sides is None else (valuation, *sides)
 
 
-def _check_law(law, premises, strategy, model, mode, trials, seed, *, conditional):
+def _check_law(law, model, mode, trials, seed):
     resolved = resolve_model(model)
     variables = law.variables
     picked = _pick_mode(resolved, mode, len(variables))
     return _check(
-        _law_outcomes(
-            law, premises, strategy, variables, resolved, picked, trials, seed
-        ),
+        _law_outcomes(law, variables, resolved, picked, trials, seed),
         law.name,
         law.statement,
         _model_name(resolved),
         picked,
         trials,
         None if picked == "exhaustive" else seed,
-        conditional,
+        isinstance(law, ConditionalEquation),
     )
 
 
@@ -650,8 +647,8 @@ def check_equation(
     trials: int = 1000,
     seed: int = 0,
 ) -> CheckReport:
-    """Check one unconditional law against a model."""
-    return _check_law(eq, (), None, model, mode, trials, seed, conditional=False)
+    """Check one law against a model; its premises and strategy come from the law."""
+    return _check_law(eq, model, mode, trials, seed)
 
 
 def check_conditional(
@@ -662,11 +659,9 @@ def check_conditional(
     trials: int = 1000,
     seed: int = 0,
 ) -> CheckReport:
-    """Check a conditional law: the conclusion, on valuations where the
-    premises hold; other valuations count as skipped."""
-    return _check_law(
-        cond, cond.premises, cond.strategy, model, mode, trials, seed, conditional=True
-    )
+    """Check a law's conclusion on valuations where its premises hold; other
+    valuations count as skipped.  Premises and strategy come from the law."""
+    return _check_law(cond, model, mode, trials, seed)
 
 
 def _propagation_outcomes(kind: str, fixed_context, trials: int, seed: int):
@@ -775,10 +770,8 @@ def run_suite(
             if resolved != "exact":
                 raise ValueError("complex laws only run on the exact model")
             reports.append(check_complex_law(law, trials=trials, seed=seed))
-        else:
-            conditional = isinstance(law, ConditionalEquation)
-            check = check_conditional if conditional else check_equation
-            reports.append(check(law, resolved, mode=mode, trials=trials, seed=seed))
+        else:  # the law tells the checker whether it is conditional
+            reports.append(check_equation(law, resolved, mode=mode, trials=trials, seed=seed))
     return reports
 
 
@@ -823,7 +816,7 @@ def verify_f3_argument() -> F3Report:
     ok = all(check_equation(eq, fp, mode="exhaustive").verdict == "pass" for eq in laws)
     term = parse("(1 + 1 + 1) / (1 + 1 + 1)")
     finite_value = eval_mod_p(term, {}, fp)
-    exact_value = render(value_to_term(eval_exact(term, {}, Session())))
+    exact_value = str(eval_exact(term, {}, Session()))
     return F3Report(
         squares_mod_3=tuple(sorted(fp.squares)),
         md_and_l1_pass=ok,

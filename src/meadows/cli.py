@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .axioms import SUITE_NAMES, check_propagation, run_suite, verify_f3_argument
 from .exact import Session
 from .finite import NotPrimeError, scan_lagrange
-from .simplify import decide_closed_eq, rewrite_simplify, sign_of_closed, value_to_term
+from .simplify import decide_closed_eq, rewrite_simplify, sign_of_closed
 from .terms import (
     SIGMA_M,
     SIGMA_MS,
@@ -50,7 +50,7 @@ def _emit(data: dict, as_json: bool, text_lines: Sequence[str]) -> None:
 def _cmd_eval(args) -> int:
     session = Session()
     value = eval_exact(parse(args.term), {}, session)
-    canonical = render(value_to_term(value))
+    canonical = str(value)
     decimal = value.approx_decimal(args.digits)
     data = {
         "schema": "meadows.eval/1",

@@ -251,6 +251,8 @@ class ScanResult:
 def scan_lagrange(n: int, limit: int) -> ScanResult:
     """Probe every prime up to ``limit``; collect holders and the first five
     failures with their witnesses."""
+    if not 1 <= n <= 4:  # checked here too: no prime up to limit may check it
+        raise ValueError("n must be between 1 and 4")
     holds: list[int] = []
     sample: dict[int, tuple[int, ...]] = {}
     for p in primes_upto(limit):

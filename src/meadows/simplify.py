@@ -34,6 +34,7 @@ from .terms import (
     ZERO,
     _children,
     _rebuild,
+    _replace,
     eval_exact,
     parse,
     render,
@@ -87,8 +88,7 @@ def value_to_term(value: Real) -> Term:
 
 def normalize_closed(src: str) -> str:
     """Parse a closed term, evaluate it exactly, and render its canonical form."""
-    value = eval_exact(parse(src), {}, Session())
-    return render(value_to_term(value))
+    return str(eval_exact(parse(src), {}, Session()))
 
 
 def decide_closed_eq(left: str, right: str) -> bool:
@@ -139,12 +139,16 @@ REWRITE_RULES: tuple[RewriteRule, ...] = (
 )
 
 
-def _match(pattern: Term, term: Term, bindings: dict[str, Term]) -> bool:
-    """First-order matching; repeated pattern variables must bind equal subterms."""
+def _match(pattern: Term, term: Term, bindings: dict[Var, Term]) -> bool:
+    """First-order matching of ``term`` against ``pattern``.
+
+    ``bindings`` maps each pattern variable (the ``Var`` node) to the subterm
+    it matched; repeated pattern variables must bind equal subterms.
+    """
     if isinstance(pattern, Var):
-        if pattern.name in bindings:
-            return bindings[pattern.name] == term
-        bindings[pattern.name] = term
+        if pattern in bindings:
+            return bindings[pattern] == term
+        bindings[pattern] = term
         return True
     if type(pattern) is not type(term):
         return False
@@ -154,15 +158,6 @@ def _match(pattern: Term, term: Term, bindings: dict[str, Term]) -> bool:
         _match(p, t, bindings)
         for p, t in zip(_children(pattern), _children(term))
     )
-
-
-def _instantiate(template: Term, bindings: dict[str, Term]) -> Term:
-    if isinstance(template, Var):
-        return bindings[template.name]
-    children = _children(template)
-    if not children:
-        return template
-    return _rebuild(template, tuple(_instantiate(c, bindings) for c in children))
 
 
 def _rewrite_once(
@@ -179,9 +174,9 @@ def _rewrite_once(
             )
             return rebuilt, rule_name, where
     for rule in REWRITE_RULES:
-        bindings: dict[str, Term] = {}
+        bindings: dict[Var, Term] = {}
         if _match(rule.pattern, term, bindings):
-            return _instantiate(rule.replacement, bindings), rule.name, path
+            return _replace(rule.replacement, bindings.get), rule.name, path
     return None
 
 

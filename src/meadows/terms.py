@@ -14,10 +14,10 @@ Concrete syntax (ASCII)::
 
 ``t - u`` and ``t / u`` are sugar for ``t + (-u)`` and ``t * inv(u)``;
 ``t ^ n`` is unrolled into repeated products (negative ``n`` through ``inv``,
-``t ^ 0`` is ``1``).  Numerals are stored as exact nonnegative rational
-constants; a leading minus parses as :class:`Neg`.  A literal with a zero
-denominator such as ``1/0`` desugars to ``1 * inv(0)`` so that evaluation can
-totalize it.  ``[]`` is the context hole.
+``t ^ 0`` is ``1``), for ``|n|`` up to :data:`MAX_EXPONENT`.  Numerals are
+stored as exact nonnegative rational constants; a leading minus parses as
+:class:`Neg`.  A literal with a zero denominator such as ``1/0`` desugars to
+``1 * inv(0)`` so that evaluation can totalize it.  ``[]`` is the context hole.
 
 Rendering is the inverse of parsing — ``parse(render(t)) == t`` for every
 term — with minimal parentheses.  Division is *never* rendered with ``/``
@@ -31,8 +31,10 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from itertools import count
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
+from .approx import _decimal, _parse_decimal
 from .exact import Real, Session
 from .finite import PrimeField
 
@@ -133,12 +135,16 @@ class ParseError(ValueError):
         self.position = position
 
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<hole>\[\])|(?P<op>[-+*/^()]))"
+    rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT})|(?P<hole>\[\])|(?P<op>[-+*/^()]))"
 )
+_IDENT_RE = re.compile(_IDENT)
 
 _RESERVED = {"s", "sqrt", "inv"}
+
+#: The largest |n| that ``t ^ n`` may have; the parser unrolls it into n nodes.
+MAX_EXPONENT = 10_000
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -151,11 +157,9 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", len(src) - len(stripped))
-        for kind in ("int", "ident", "hole", "op"):
-            text = m.group(kind)
-            if text is not None:
-                out.append((kind if kind != "op" else text, text, m.start(kind)))
-                break
+        kind = m.lastgroup
+        text = m.group(kind)
+        out.append((kind if kind != "op" else text, text, m.start(kind)))
         pos = m.end()
     out.append(("eof", "", len(src)))
     return out
@@ -215,7 +219,9 @@ class _Parser:
         if tok[0] != "int":
             raise ParseError("exponent must be an integer literal", tok[2])
         self.next()
-        n = int(tok[1])
+        n = _parse_decimal(tok[1])
+        if n > MAX_EXPONENT:
+            raise ParseError(f"exponent is over the cap of {MAX_EXPONENT}", tok[2])
         if n == 0:
             return Inv(ONE) if neg else ONE  # inv(1) keeps the sugar faithful
         out = base
@@ -229,11 +235,11 @@ class _Parser:
             # rational literal only when the next two tokens are "/" int
             if self.peek()[0] == "/" and self.tokens[self.i + 1][0] == "int":
                 self.next()
-                den = int(self.next()[1])
+                den = _parse_decimal(self.next()[1])
                 if den == 0:
-                    return Mul(Const(Fraction(int(text))), Inv(ZERO))
-                return Const(Fraction(int(text), den))
-            return Const(Fraction(int(text)))
+                    return Mul(Const(Fraction(_parse_decimal(text))), Inv(ZERO))
+                return Const(Fraction(_parse_decimal(text), den))
+            return Const(Fraction(_parse_decimal(text)))
         if kind == "ident":
             if text in _RESERVED:
                 self.expect("(", f"'(' after {text!r}")
@@ -284,7 +290,9 @@ def _render(t: Term, min_prec: int) -> str:
         prec = 3
     elif isinstance(t, Const):
         q = t.value
-        body = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        body = _decimal(q.numerator)
+        if q.denominator != 1:
+            body += f"/{_decimal(q.denominator)}"
         prec = 4
     elif isinstance(t, Var):
         body, prec = t.name, 4
@@ -322,43 +330,50 @@ def _rebuild(t: Term, children: Sequence[Term]) -> Term:
     return t
 
 
+def _subterms(t: Term) -> Iterator[Term]:
+    """Every node of ``t`` in preorder, without recursion."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack += _children(t)[::-1]
+
+
+def _replace(t: Term, f: Callable[[Term], Optional[Term]]) -> Term:
+    """``t`` with each node that ``f`` maps to a term replaced by that term.
+
+    ``f`` sees the nodes in preorder, but not the subterms of a replaced one.
+    """
+    new = f(t)
+    if new is not None:
+        return new
+    kids = _children(t)
+    if not kids:
+        return t
+    return _rebuild(t, [_replace(c, f) for c in kids])
+
+
 def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    out: frozenset[str] = frozenset()
-    for c in _children(t):
-        out |= free_vars(c)
-    return out
+    return frozenset(n.name for n in _subterms(t) if isinstance(n, Var))
 
 
 def contains_hole(t: Term) -> bool:
-    if isinstance(t, Hole):
-        return True
-    return any(contains_hole(c) for c in _children(t))
+    return any(isinstance(n, Hole) for n in _subterms(t))
 
 
 def term_size(t: Term) -> int:
-    return 1 + sum(term_size(c) for c in _children(t))
+    return sum(1 for _ in _subterms(t))
 
 
 def substitute(t: Term, name: str, replacement: Term) -> Term:
     """Replace every free occurrence of the variable ``name``."""
-    if isinstance(t, Var):
-        return replacement if t.name == name else t
-    kids = _children(t)
-    if not kids:
-        return t
-    return _rebuild(t, [substitute(c, name, replacement) for c in kids])
+    var = Var(name)
+    return _replace(t, lambda n: replacement if n == var else None)
 
 
 def fill(context: Term, plug: Term) -> Term:
     """Replace every hole ``[]`` in ``context`` with ``plug``."""
-    if isinstance(context, Hole):
-        return plug
-    kids = _children(context)
-    if not kids:
-        return context
-    return _rebuild(context, [fill(c, plug) for c in kids])
+    return _replace(context, lambda n: plug if isinstance(n, Hole) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +387,14 @@ class EvalError(ValueError):
 
 class UnsupportedSymbolError(ValueError):
     """The target model has no interpretation for a symbol in the term."""
+
+
+def _unevaluable(t: Term) -> ValueError:
+    """What evaluation raises at ``t``: a hole, or ``s``/``sqrt`` over a field."""
+    if isinstance(t, Hole):
+        return EvalError("cannot evaluate a context hole")
+    sym = "s" if isinstance(t, Sign) else "sqrt"
+    return UnsupportedSymbolError(f"{sym!r} has no finite-field interpretation")
 
 
 def eval_exact(t: Term, valuation: Mapping[str, Real], session: Session) -> Real:
@@ -396,7 +419,7 @@ def eval_exact(t: Term, valuation: Mapping[str, Real], session: Session) -> Real
     if isinstance(t, Sqrt):
         return eval_exact(t.arg, valuation, session).ssqrt()
     if isinstance(t, Hole):
-        raise EvalError("cannot evaluate a context hole")
+        raise _unevaluable(t)
     raise TypeError(f"not a term: {t!r}")  # pragma: no cover
 
 
@@ -431,16 +454,17 @@ def _eval_mod(t: Term, valuation: Mapping[str, int], field) -> int:
         return -_eval_mod(t.arg, valuation, field)
     if isinstance(t, Inv):
         return field.inv(_eval_mod(t.arg, valuation, field))
-    if isinstance(t, (Sign, Sqrt)):
-        sym = "s" if isinstance(t, Sign) else "sqrt"
-        raise UnsupportedSymbolError(f"{sym!r} has no finite-field interpretation")
-    if isinstance(t, Hole):
-        raise EvalError("cannot evaluate a context hole")
+    if isinstance(t, (Sign, Sqrt, Hole)):
+        raise _unevaluable(t)
     raise TypeError(f"not a term: {t!r}")  # pragma: no cover
 
 
-class _Raised(Exception):
-    """The compiled code just raised; nothing after it can run."""
+# The source of each constructor's value from its arguments' slots, by model
+# kind.  Over a field, ``s`` and ``sqrt`` have none: they raise.
+_FIELD_SOURCE = {Add: "{} + {}", Mul: "{} * {}", Neg: "-{}", Inv: "inv({})"}
+_EXACT_SOURCE = {
+    **_FIELD_SOURCE, Inv: "{}.inv()", Sign: "rational({}.sign())", Sqrt: "{}.ssqrt()"
+}
 
 
 def _compile(premises: Sequence[tuple], lhs: Term, rhs: Term, exact: bool):
@@ -460,19 +484,12 @@ def _compile(premises: Sequence[tuple], lhs: Term, rhs: Term, exact: bool):
     """
     lines: list[str] = []
     slots: dict[Term, str] = {}
+    templates = _EXACT_SOURCE if exact else _FIELD_SOURCE
 
     def emit(t: Term) -> str:
         name = slots.get(t)
         if name is not None:
             return name
-        if isinstance(t, Hole):
-            lines.append("raise EvalError('cannot evaluate a context hole')")
-            raise _Raised
-        if isinstance(t, (Sign, Sqrt)) and not exact:
-            sym = "s" if isinstance(t, Sign) else "sqrt"
-            message = f"{sym!r} has no finite-field interpretation"
-            lines.append(f"raise UnsupportedSymbolError({message!r})")
-            raise _Raised
         if isinstance(t, Const):
             n, d = t.value.numerator, t.value.denominator
             if exact:
@@ -481,32 +498,22 @@ def _compile(premises: Sequence[tuple], lhs: Term, rhs: Term, exact: bool):
                 expr = str(n) if d == 1 else f"{n} * inv({d})"
         elif isinstance(t, Var):
             expr = f"value(v[{t.name!r}])" if exact else f"v[{t.name!r}]"
-        elif isinstance(t, (Add, Mul)):
-            left = emit(t.left)
-            expr = f"{left} {'+' if isinstance(t, Add) else '*'} {emit(t.right)}"
-        elif isinstance(t, Neg):
-            expr = f"-{emit(t.arg)}"
-        elif isinstance(t, Inv):
-            expr = f"{emit(t.arg)}.inv()" if exact else f"inv({emit(t.arg)})"
-        elif isinstance(t, Sign):
-            expr = f"rational({emit(t.arg)}.sign())"
-        elif isinstance(t, Sqrt):
-            expr = f"{emit(t.arg)}.ssqrt()"
-        else:  # pragma: no cover
-            raise TypeError(f"not a term: {t!r}")
+        elif type(t) in templates:
+            expr = templates[type(t)].format(*map(emit, _children(t)))
+        else:
+            error = _unevaluable(t)
+            lines.append(f"raise {type(error).__name__}({str(error)!r})")
+            return "None"  # every line after the raise is unreachable
         name = slots[t] = f"t{len(slots)}"
         lines.append(f"{name} = {expr}")
         return name
 
-    try:
-        for left, right, kind in premises:
-            a, b = emit(left), emit(right)
-            same = f"{a} == {b}" if exact else f"({a} - {b}) % p == 0"
-            lines.append(f"if {'not ' if kind == 'eq' else ''}{same}: return None")
-        a, b = emit(lhs), emit(rhs)
-        lines.append(f"return {a}, {b}" if exact else f"return {a} % p, {b} % p")
-    except _Raised:
-        pass
+    for left, right, kind in premises:
+        a, b = emit(left), emit(right)
+        same = f"{a} == {b}" if exact else f"({a} - {b}) % p == 0"
+        lines.append(f"if {'not ' if kind == 'eq' else ''}{same}: return None")
+    a, b = emit(lhs), emit(rhs)
+    lines.append(f"return {a}, {b}" if exact else f"return {a} % p, {b} % p")
     if exact:
         head = ["rational = domain.rational", "value = domain.value"]
     else:
@@ -554,6 +561,9 @@ def gen_random_term(
     unknown = signature - SIGMA_MSS
     if unknown:
         raise ValueError(f"unknown constructors: {sorted(unknown)}")
+    for name in variables:
+        if not _IDENT_RE.fullmatch(name) or name in _RESERVED:
+            raise ValueError(f"{name!r} cannot be a variable name in the term syntax")
     r = rng if rng is not None else random.Random(seed)
     return _gen(r, max_size, signature, tuple(variables))
 
@@ -576,21 +586,6 @@ def _gen(r: random.Random, fuel: int, signature: frozenset, variables: tuple) ->
     return _BINARY[op](left, right)
 
 
-def _positions(t: Term) -> Iterator[tuple[int, ...]]:
-    yield ()
-    for i, c in enumerate(_children(t)):
-        for path in _positions(c):
-            yield (i, *path)
-
-
-def _replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    kids = list(_children(t))
-    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
-    return _rebuild(t, kids)
-
-
 def gen_random_context(
     seed: Optional[int],
     max_size: int,
@@ -602,5 +597,5 @@ def gen_random_context(
     """A random one-hole context: a term with exactly one ``[]`` inside."""
     r = rng if rng is not None else random.Random(seed)
     t = gen_random_term(None, max_size, signature, variables, rng=r)
-    spot = r.choice(list(_positions(t)))
-    return _replace_at(t, spot, HOLE)
+    spot, preorder = r.randrange(term_size(t)), count()
+    return _replace(t, lambda n: HOLE if next(preorder) == spot else None)

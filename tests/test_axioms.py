@@ -1,5 +1,8 @@
 """Tests for the law catalog and the model-checking engines."""
 
+import ast
+import dataclasses
+import inspect
 import itertools
 
 import pytest
@@ -29,6 +32,12 @@ from meadows.terms import (
     eval_exact,
     parse,
 )
+
+
+def test_axioms_imports_nothing_from_the_simplifier():
+    tree = ast.parse(inspect.getsource(axioms))
+    imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "simplify" not in imported and "meadows.simplify" not in imported
 
 
 class TestCatalog:
@@ -116,6 +125,21 @@ class TestFiniteExhaustive:
         assert report.verdict == "pass"
         assert (report.satisfied, report.skipped) == (6, 1)
         assert report.trials == 7
+
+    def test_either_checker_honours_the_premises_whichever_compiles_first(self):
+        law = catalog().ILCancellation[0]
+        first = check_equation(law, 7)
+        second = check_conditional(law, 7)
+        for report in (first, second):
+            assert str(report) == (
+                "[PASS] inverse-law-nonzero over fp:7 "
+                "(exhaustive, 7 trials satisfied=6 skipped=1, 0 failures)"
+            )
+        copy = dataclasses.replace(law)  # a law object no checker has compiled
+        assert check_conditional(copy, 7).to_dict() == first.to_dict()
+        assert check_equation(copy, 7).to_dict() == first.to_dict()
+        exact = check_conditional(copy, trials=40, seed=2)
+        assert check_equation(copy, trials=40, seed=2).to_dict() == exact.to_dict()
 
     def test_conditional_cancellation(self):
         report = check_conditional(catalog().ILCancellation[1], 7)

@@ -39,6 +39,18 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == "error: digits must be at most 315652\n"
 
+    def test_canonical_form_longer_than_the_digit_limit(self, capsys):
+        code, out, err = run(capsys, "eval", "--json", "*".join(["(10^900)"] * 5))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["canonical"] == "1" + "0" * 4500
+        assert data["decimal"] == "1" + "0" * 4500 + "." + "0" * 10
+
+    def test_exponent_over_the_cap_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "eval", "2^100000")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: exponent is over the cap of")
+
     def test_division_by_zero_is_total(self, capsys):
         code, out, _ = run(capsys, "eval", "--json", "1/0")
         assert code == 0
@@ -210,6 +222,11 @@ class TestScanAndDemo:
         assert data["holds"] == []
         assert data["counterexample_sample"]["3"] == [1, 1]
 
+    def test_scan_bad_square_count_is_bad_input_even_without_primes(self, capsys):
+        code, out, err = run(capsys, "scan-lagrange", "--n", "7", "--limit", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: n must be between 1 and 4\n"
+
     def test_f3_demo(self, capsys):
         code, out, _ = run(capsys, "f3-demo")
         assert code == 0
@@ -252,6 +269,12 @@ class TestGen:
             assert "s(" not in out and "sqrt(" not in out
             assert free_vars(term) <= {"a", "b"}
         assert SIGMA_M == frozenset({"add", "mul", "neg", "inv"})
+
+    @pytest.mark.parametrize("names", ["x-y", "s,x", "x,inv"])
+    def test_vars_that_do_not_parse_back_rejected(self, capsys, names):
+        code, out, err = run(capsys, "gen", "--seed", "3", "--size", "7", "--vars", names)
+        assert (code, out) == (2, "")
+        assert "cannot be a variable name" in err
 
     def test_empty_vars_rejected(self, capsys):
         code, _, err = run(capsys, "gen", "--seed", "1", "--vars", " , ")

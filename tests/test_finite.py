@@ -253,6 +253,12 @@ class TestScan:
         for p, w in res.counterexample_sample.items():
             assert (1 + sum(x * x for x in w)) % p == 0
 
+    @pytest.mark.parametrize("n", [0, 5, 7])
+    def test_bad_square_count_is_rejected_even_without_primes(self, n):
+        for limit in (1, 30):
+            with pytest.raises(ValueError, match="n must be between 1 and 4"):
+                scan_lagrange(n, limit)
+
     def test_as_dict_shape(self):
         d = scan_lagrange(1, 10).as_dict()
         assert d["schema"] == "meadows.scan/1"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from meadows.exact import Session
 from meadows.terms import (
     HOLE,
+    MAX_EXPONENT,
     ONE,
     SIGMA_M,
     SIGMA_MS,
@@ -112,6 +113,19 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("s + 1")
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_exponent_over_the_cap_is_rejected_before_unrolling(self, sign):
+        with pytest.raises(ParseError, match=f"over the cap of {MAX_EXPONENT}") as e:
+            parse(f"x^{sign}{MAX_EXPONENT + 1}")
+        assert e.value.position == 2 + len(sign)
+        with pytest.raises(ParseError, match="over the cap"):
+            parse("x^" + "9" * 5000)  # longer than any int-to-str digit limit
+
+    def test_literals_longer_than_the_digit_limit(self):
+        # 4501 and 4772 digits: past CPython's default int-to-str limit of 4300
+        t = Const(Fraction(10**4500 + 1, 3**10000))
+        assert parse(render(t)) == t
+
 
 class TestRendering:
     def test_examples(self):
@@ -163,6 +177,14 @@ class TestStructure:
     def test_term_size(self):
         assert term_size(ZERO) == 1
         assert term_size(parse("x + y * z")) == 5
+
+    def test_structure_queries_do_not_recurse(self):
+        t = Var("x")
+        for _ in range(5000):
+            t = Add(Neg(t), HOLE)
+        assert term_size(t) == 15001
+        assert free_vars(t) == {"x"}
+        assert contains_hole(t)
 
 
 class TestEvalExact:
@@ -255,6 +277,18 @@ class TestGeneration:
     def test_unknown_constructor_rejected(self):
         with pytest.raises(ValueError):
             gen_random_term(0, 5, frozenset({"add", "bogus"}))
+
+    @pytest.mark.parametrize("name", ["x-y", "s", "sqrt", "inv", "1x", "", "x y"])
+    def test_variable_names_must_parse_back_as_variables(self, name):
+        with pytest.raises(ValueError, match="cannot be a variable name"):
+            gen_random_term(3, 7, SIGMA_MSS, ("x", name))
+        with pytest.raises(ValueError, match="cannot be a variable name"):
+            gen_random_context(3, 7, SIGMA_MSS, (name,))
+
+    def test_identifier_names_round_trip(self):
+        for seed in range(200):
+            t = gen_random_term(seed, 7, SIGMA_MSS, ("sx", "x_1", "_"))
+            assert parse(render(t)) == t
 
     def test_all_constructors_appear(self):
         seen = set()
