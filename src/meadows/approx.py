@@ -22,6 +22,7 @@ yields the enclosures at doubling precision; :func:`enclose`,
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import compress
 from math import isqrt
@@ -38,6 +39,9 @@ _MAX_DIGITS = 315_652
 # digits, and 640 is the lowest limit it can be set to.
 _CHUNK = 640
 _CHUNK_BASE = 10**_CHUNK
+# Exact decimal arithmetic at any size: a rounded result would raise Inexact.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+_LEAF_BITS = 1024  # ints this small go into Decimal directly
 
 
 def _basis_bounds(i: int, roots: list, memo: dict) -> tuple:
@@ -151,13 +155,30 @@ def _truncation(value: Real, digits: int) -> int:
 
 
 def _decimal(n: int) -> str:
-    """The decimal digits of ``n >= 0``, in chunks that fit every digit limit."""
-    chunks = []
-    while n >= _CHUNK_BASE:
-        n, r = divmod(n, _CHUNK_BASE)
-        chunks.append(f"{r:0{_CHUNK}d}")
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
+    """The decimal digits of ``n >= 0``, whatever the int-to-str digit limit.
+
+    Up to one chunk this is ``str(n)``.  A larger ``n`` is split into binary
+    halves, converted recursively, and joined as ``hi * 2**k + lo`` in exact
+    :mod:`decimal` arithmetic, whose large products are subquadratic.  Every
+    way of splitting off decimal digits divides, and CPython 3.11 divides
+    in quadratic time.
+    """
+    if n < _CHUNK_BASE:
+        return str(n)
+    powers: dict[int, Decimal] = {}
+
+    def convert(n: int, bits: int) -> Decimal:
+        if bits <= _LEAF_BITS:
+            return Decimal(n)
+        k = bits >> 1
+        hi = n >> k
+        power = powers.get(k)
+        if power is None:
+            power = powers[k] = _EXACT.power(2, k)
+        lo = convert(n - (hi << k), k)
+        return _EXACT.add(_EXACT.multiply(convert(hi, bits - k), power), lo)
+
+    return str(convert(n, n.bit_length()))
 
 
 def _parse_decimal(digits: str) -> int:

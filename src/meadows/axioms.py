@@ -82,14 +82,16 @@ class Equation:
     premises = ()  # not fields: the checker reads both from any law
     strategy = None
 
-    @property
+    # A law is immutable, so each is computed once; ``cached_property`` keeps
+    # it in the instance dict, which equality, hashing and ``replace`` ignore.
+    @cached_property
     def variables(self) -> tuple[str, ...]:
         names = free_vars(self.lhs) | free_vars(self.rhs)
         for left, right, _ in self.premises:
             names |= free_vars(left) | free_vars(right)
         return tuple(sorted(names))
 
-    @property
+    @cached_property
     def statement(self) -> str:
         return f"{render(self.lhs)} == {render(self.rhs)}"
 
@@ -115,7 +117,7 @@ class ConditionalEquation:
 
     variables = Equation.variables
 
-    @property
+    @cached_property
     def statement(self) -> str:
         ops = {"eq": "==", "ne": "!="}
         guards = " and ".join(
@@ -471,6 +473,13 @@ def _model_name(resolved) -> str:
     return "exact" if resolved == "exact" else f"fp:{resolved.p}"
 
 
+# What ``random_value`` draws from.  ``rng.choice(range(a, b + 1))`` draws
+# exactly as ``rng.randint(a, b)`` does, with fewer frames.
+_NUMERATORS, _DENOMINATORS = range(-9, 10), range(1, 10)
+_STEPS, _OPS = range(4), range(5)
+_SHIFTS, _SCALES = range(-3, 4), range(1, 4)
+
+
 def random_value(rng: random.Random, session: Session) -> Real:
     """A random exact value: a small rational hit with a few random operations.
 
@@ -478,9 +487,10 @@ def random_value(rng: random.Random, session: Session) -> Real:
     radicals with useful frequency while keeping tower depth small enough for
     fast arithmetic.
     """
-    value = session.rational(rng.randint(-9, 9), rng.randint(1, 9))
-    for _ in range(rng.randint(0, 3)):
-        op = rng.randrange(5)
+    choice = rng.choice
+    value = session.rational(choice(_NUMERATORS), choice(_DENOMINATORS))
+    for _ in range(choice(_STEPS)):
+        op = choice(_OPS)
         if op == 0 and session.depth >= 8:
             op = 2
         if op == 0:
@@ -490,9 +500,9 @@ def random_value(rng: random.Random, session: Session) -> Real:
         elif op == 2:
             value = -value
         elif op == 3:
-            value = value + session.rational(rng.randint(-3, 3))
+            value = value + session.rational(choice(_SHIFTS))
         else:
-            value = value * session.rational(rng.randint(-3, 3), rng.randint(1, 3))
+            value = value * session.rational(choice(_SHIFTS), choice(_SCALES))
     return value
 
 

@@ -28,7 +28,9 @@ Each session also memoizes the positive root of every argument of ``ssqrt``
 whose root is irrational, since finding such a root again means a fresh
 search down the whole tower.  The tower only grows and the positive root is
 unique, so a cached root stays correct for the life of the session.  The memo
-grows with the number of distinct such arguments and is never evicted.
+grows with the number of distinct such arguments and is never evicted.  A
+session likewise keeps the canonical closed form of each level's radical,
+which :mod:`meadows.simplify` fills when it prints a value.
 
 Sessions are mutable (``ssqrt`` may adjoin a new level) and are meant to be
 confined to one thread; values from different sessions must never be mixed,
@@ -41,6 +43,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import add, sub
 from typing import Optional, Union
+
+from .approx import _decimal, approx_decimal
 
 Scalar = Union[int, Fraction]
 
@@ -293,12 +297,16 @@ class Session:
     Sessions are not thread-safe; confine each one to a single thread.
     """
 
-    __slots__ = ("_radicands", "_roots")
+    __slots__ = ("_radicands", "_roots", "_radicals")
 
     def __init__(self) -> None:
         self._radicands: tuple = ()
         # positive radicand (num, den) -> its positive root (num, den)
         self._roots: dict[tuple, tuple] = {}
+        # level -> (sort key, Sqrt term) of its root in canonical closed
+        # forms, filled by meadows.simplify; a radicand never changes, so an
+        # entry stays right for the life of the session
+        self._radicals: dict[int, tuple] = {}
 
     @property
     def depth(self) -> int:
@@ -313,9 +321,12 @@ class Session:
     def rational(self, p: Scalar = 0, q: int = 1) -> Real:
         """The value ``p/q``. ``q == 0`` yields 0, matching ``x * inv(0)``."""
         if q == 0:
-            return Real(self, (0,))
+            return _canonical(self, (0,), 1)
+        if type(p) is int and type(q) is int:
+            g = gcd(p, q) if q > 0 else -gcd(p, q)
+            return _canonical(self, (p // g,), q // g)
         value = Fraction(p, q)
-        return Real(self, (value.numerator,), value.denominator)
+        return _canonical(self, (value.numerator,), value.denominator)
 
     def value(self, x: Union[Real, Scalar]) -> Real:
         """Coerce an int or Fraction into this session; pass Reals through."""
@@ -342,8 +353,9 @@ class Session:
     def check_invariants(self) -> None:
         """Re-verify the tower and the root memo.
 
-        Every radicand must be positive and not a lower square, and every
-        memoized root must be positive and square to its radicand.
+        Every radicand must be positive and not a lower square, every
+        memoized root must be positive and square to its radicand, and every
+        memoized radical must render as it does with the memo cleared.
         """
         rads = self._radicands
         for k, rad in enumerate(rads, start=1):
@@ -357,6 +369,15 @@ class Session:
             y, w = Real(self, *radicand), Real(self, *root)
             if w.sign() <= 0 or w * w != y:
                 raise TowerInvariantError(f"memoized root of {y!r} is wrong")
+        from .simplify import _radical
+
+        memo, self._radicals = self._radicals, {}
+        try:
+            for level, entry in memo.items():
+                if _radical(self, level) != entry:
+                    raise TowerInvariantError(f"memoized radical {level} is wrong")
+        finally:
+            self._radicals = memo
 
     def _adjoin(self, rad: tuple) -> None:
         if len(rad) != 1 << self.depth:
@@ -449,9 +470,12 @@ class Real:
     # -- ring operations ----------------------------------------------------
 
     def _combine(self, peer: Real, op) -> Real:
-        n = max(len(self._num), len(peer._num))
-        a, b = self._lifted(n), peer._lifted(n)
+        a, b = self._num, peer._num
         da, db = self._den, peer._den
+        if len(a) == 1 == len(b):
+            return self._session.rational(op(a[0] * db, b[0] * da), da * db)
+        n = max(len(a), len(b))
+        a, b = self._lifted(n), peer._lifted(n)
         if da != db:
             g = gcd(da, db)
             a, b = _vscale(a, db // g), _vscale(b, da // g)
@@ -467,7 +491,9 @@ class Real:
     __radd__ = __add__
 
     def __neg__(self) -> Real:
-        return Real(self._session, _vneg(self._num), self._den)
+        num = self._num
+        neg = (-num[0],) if len(num) == 1 else _vneg(num)
+        return _canonical(self._session, neg, self._den)
 
     def __pos__(self) -> Real:
         return self
@@ -488,7 +514,10 @@ class Real:
         peer = self._peer(other)
         if peer is None:
             return NotImplemented
-        n = max(len(self._num), len(peer._num))
+        a, b = self._num, peer._num
+        if len(a) == 1 == len(b):
+            return self._session.rational(a[0] * b[0], self._den * peer._den)
+        n = max(len(a), len(b))
         num = _vmul(self._session._radicands, self._lifted(n), peer._lifted(n))
         return Real(self._session, num, self._den * peer._den)
 
@@ -522,6 +551,8 @@ class Real:
 
     def inv(self) -> Real:
         """Totalized multiplicative inverse: ``inv(0) == 0``."""
+        if len(self._num) == 1:
+            return self._session.rational(self._den, self._num[0])
         num, den = _vinv(self._session._radicands, self._num)
         return Real(self._session, _vscale(num, self._den), den)
 
@@ -529,6 +560,9 @@ class Real:
 
     def sign(self) -> SignValue:
         """Exact sign in {-1, 0, +1}; 0 only for the zero value."""
+        if len(self._num) == 1:
+            c = self._num[0]
+            return (c > 0) - (c < 0)
         return _vsign(self._session._radicands, self._num)
 
     def compare(self, other: Union[Real, Scalar]) -> SignValue:
@@ -582,7 +616,7 @@ class Real:
             if not root.is_rational():  # a rational root is cheap to find again
                 session._roots[key] = (root._num, root._den)
         else:
-            root = Real(session, *found)
+            root = _canonical(session, *found)
         return root if sg > 0 else -root
 
     def _root(self) -> Real:
@@ -620,12 +654,16 @@ class Real:
         are never consulted, which makes this an independent cross-check
         channel.
         """
-        from . import approx
-
-        return approx.approx_decimal(self, digits)
+        return approx_decimal(self, digits)
 
     def serialize(self) -> str:
         """Canonical closed-term string; see :func:`meadows.simplify.value_to_term`."""
+        if len(self._num) == 1:  # as terms.render writes a constant, or its Neg
+            c = self._num[0]
+            body = _decimal(abs(c))
+            if self._den != 1:
+                body += f"/{_decimal(self._den)}"
+            return f"-{body}" if c < 0 else body
         from .simplify import value_to_term
         from .terms import render
 
@@ -636,3 +674,14 @@ class Real:
 
     def __str__(self) -> str:
         return self.serialize()
+
+
+def _canonical(session: Session, num: tuple, den: int) -> Real:
+    """A value from a result already in canonical form, without re-checking it.
+
+    ``num`` must be trimmed and share no factor with ``den``, and ``den``
+    must be positive; :class:`Real` itself checks and normalizes instead.
+    """
+    value = object.__new__(Real)
+    value._session, value._num, value._den = session, num, den
+    return value

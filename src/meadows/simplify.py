@@ -46,27 +46,23 @@ def value_to_term(value: Real) -> Term:
 
     Each nonzero coordinate of the value contributes one summand: its
     rational coefficient times one ``sqrt`` factor per tower level involved,
-    where each radicand is rendered recursively through this same function.
+    where each radicand is rendered recursively through this same function,
+    once per session.
     """
     session = value.session
     if value.is_zero():
         return ZERO
-
-    radical_cache: dict[int, tuple[tuple[int, str], Term]] = {}
-
-    def radical(level: int) -> tuple[tuple[int, str], Term]:
-        if level not in radical_cache:
-            radicand = session.radicand_value(level)
-            arg = value_to_term(radicand)
-            radical_cache[level] = ((radicand.depth, render(arg)), Sqrt(arg))
-        return radical_cache[level]
 
     parts = []
     for index, q in enumerate(value.coords):
         if q == 0:
             continue
         factors = sorted(
-            (radical(level + 1) for level in range(value.depth) if index >> level & 1),
+            (
+                _radical(session, level + 1)
+                for level in range(value.depth)
+                if index >> level & 1
+            ),
             key=lambda pair: pair[0],
         )
         part_key = tuple(key for key, _ in factors)
@@ -84,6 +80,20 @@ def value_to_term(value: Real) -> Term:
     for _, part in parts[1:]:
         total = Add(total, part)
     return total
+
+
+def _radical(session: Session, level: int) -> tuple[tuple[int, str], Term]:
+    """The sort key and ``Sqrt`` term of the root adjoined at ``level``.
+
+    Kept in the session's radical memo: a radicand never changes, so neither
+    does its canonical form.
+    """
+    entry = session._radicals.get(level)
+    if entry is None:
+        radicand = session.radicand_value(level)
+        arg = value_to_term(radicand)
+        entry = session._radicals[level] = ((radicand.depth, render(arg)), Sqrt(arg))
+    return entry
 
 
 def normalize_closed(src: str) -> str:

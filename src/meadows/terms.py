@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .approx import _decimal, _parse_decimal
+from .approx import _CHUNK_BASE, _decimal, _parse_decimal
 from .exact import Real, Session
 from .finite import PrimeField
 
@@ -480,7 +480,9 @@ def _compile(premises: Sequence[tuple], lhs: Term, rhs: Term, exact: bool):
     session adjoins the same roots in the same order.  Over a field, sums,
     products and negations stay in Z and are reduced once at the end, and
     the node where the walk raises, before its children, becomes a
-    ``raise``.  Only ints and ``repr`` of variable names go into the source.
+    ``raise``.  Only ints and ``repr`` of variable names go into the source;
+    an int of more than one 640-digit chunk is written in hex, which compiles
+    under any int-to-str digit limit.
     """
     lines: list[str] = []
     slots: dict[Term, str] = {}
@@ -491,7 +493,9 @@ def _compile(premises: Sequence[tuple], lhs: Term, rhs: Term, exact: bool):
         if name is not None:
             return name
         if isinstance(t, Const):
-            n, d = t.value.numerator, t.value.denominator
+            n, d = (
+                k if k < _CHUNK_BASE else hex(k) for k in t.value.as_integer_ratio()
+            )
             if exact:
                 expr = f"rational({n}, {d})"
             else:

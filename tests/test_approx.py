@@ -8,7 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from meadows.approx import _MAX_BITS, _MAX_DIGITS, approx_decimal, approx_fraction, enclose
+from meadows.approx import (
+    _CHUNK,
+    _LEAF_BITS,
+    _MAX_BITS,
+    _MAX_DIGITS,
+    _decimal,
+    _parse_decimal,
+    approx_decimal,
+    approx_fraction,
+    enclose,
+)
 from meadows.exact import Session
 
 
@@ -155,3 +165,35 @@ class TestDigitLimit:
         with int_str_limit(640):
             out = approx_decimal(x, 2)
         assert out == f"{expected[:-2]}.{expected[-2:]}"
+
+
+def _boundary_ints():
+    """Ints on each side of the single-chunk cut, of the leaf size of the
+    binary split, and of powers ``10**(640 * 2**k)``."""
+    edges = [10**_CHUNK, 2**_LEAF_BITS, 2 ** (2 * _LEAF_BITS + 1)]
+    edges += [10 ** (_CHUNK << k) for k in range(1, 6)]
+    edges += [2 ** (10 ** (_CHUNK << k)).bit_length() for k in range(1, 4)]
+    return [e + d for e in edges for d in (-1, 0, 1)] + [0, 1, 9, 10]
+
+
+class TestDecimalConversion:
+    def test_matches_str_at_chunk_and_split_boundaries(self):
+        for n in _boundary_ints():
+            with int_str_limit(0):
+                expected = str(n)
+            with int_str_limit(640):
+                assert _decimal(n) == expected
+                assert _parse_decimal(expected) == n
+
+    def test_matches_str_on_random_sizes(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.getrandbits(rng.randrange(1, 40_000))
+            with int_str_limit(0):
+                expected = str(n)
+            assert _decimal(n) == expected
+
+    def test_a_number_with_as_many_digits_as_the_cap(self):
+        n = 10**_MAX_DIGITS // 3
+        out = _decimal(n)
+        assert len(out) == _MAX_DIGITS and set(out) == {"3"}

@@ -25,10 +25,12 @@ from meadows.exact import Session
 from meadows.finite import NotPrimeError, PrimeField
 from meadows.terms import (
     HOLE,
+    Add,
     EvalError,
     Sign,
     Sqrt,
     UnsupportedSymbolError,
+    Var,
     eval_exact,
     parse,
 )
@@ -81,6 +83,27 @@ class TestCatalog:
         assert str(law) == "restricted-inverse-law: x * (x * inv(x)) == x"
         cond = catalog().ILCancellation[0]
         assert "x != 0 ==> x * inv(x) == 1" in str(cond)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            Equation("fresh-eq", parse("x * y"), parse("y * x")),
+            ConditionalEquation(
+                "fresh-cond", ((parse("z"), parse("0"), "ne"),), parse("x"), parse("y")
+            ),
+        ],
+        ids=["equation", "conditional"],
+    )
+    def test_cached_variables_and_statement_leave_the_law_unchanged(self, law):
+        twin = dataclasses.replace(law)
+        before = law == twin, hash(law), check_equation(law, 5).to_dict()
+        statement, variables = law.statement, law.variables
+        assert law.statement is statement and law.variables is variables  # computed once
+        assert (law == twin, hash(law), check_equation(law, 5).to_dict()) == before
+        assert hash(law) == hash(twin) and law == twin
+        changed = dataclasses.replace(law, rhs=Add(law.rhs, Var("w")))
+        assert changed.variables == tuple(sorted({"w", *variables}))
+        assert changed.statement == statement + " + w"
 
 
 class TestResolveModel:

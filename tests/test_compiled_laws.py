@@ -203,3 +203,20 @@ def test_checking_fresh_laws_grows_no_module_container():
     gc.collect()
     assert ("meadows.axioms", "_COMPILED") in before
     assert _module_containers() == before
+
+
+def test_literals_beyond_the_digit_limit_compile_for_both_models():
+    big = "1" + "0" * 4400
+    holds = Equation("big", parse(f"x * {big}"), parse(f"{big} * x + 0 * inv({big})"))
+    fails = Equation("big-false", parse(f"x * {big}"), parse(f"x * {big}1"))
+    for model in ("exact", "fp:5"):
+        assert check_equation(holds, model, trials=3).verdict == "pass"
+        assert check_equation(fails, model, trials=3).verdict == "fail"
+    for law in (holds, fails):
+        for exact, domain, valuation in (
+            (True, Session(), {"x": 3}),
+            (False, PrimeField(7), {"x": 3}),
+        ):
+            evaluate = eval_exact if exact else eval_mod_p
+            expected = walk_outcome((), law.lhs, law.rhs, evaluate, valuation, domain)
+            assert _compile((), law.lhs, law.rhs, exact)(valuation, domain) == expected
