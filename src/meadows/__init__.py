@@ -1,17 +1,18 @@
 """meadows: exact totalized field arithmetic with signs and square roots.
 
-The package is organised in layers:
+The package is organised in layers; each module imports, at run time, only
+from modules listed above it:
 
-- :mod:`meadows.exact` — the value kernel: sessions of adjoined square roots
-  and exact arithmetic with totalized inverse (``inv(0) == 0``), sign, and
-  comparison.
 - :mod:`meadows.approx` — certified decimal approximation of kernel values.
-- :mod:`meadows.complexes` — complex pairs over the kernel with totalized
-  inverse and real-projected sign and root.
 - :mod:`meadows.finite` — totalized prime fields, sum-of-squares probes, and
-  prime scans; it imports nothing from the other layers.
+  prime scans.
 - :mod:`meadows.terms` — term syntax: parsing, printing, substitution,
   contexts, random generation, and evaluation into either model.
+- :mod:`meadows.exact` — the value kernel: sessions of adjoined square roots,
+  exact arithmetic with totalized inverse (``inv(0) == 0``), sign, and
+  comparison, and each value's canonical closed term.
+- :mod:`meadows.complexes` — complex pairs over the kernel with totalized
+  inverse and real-projected sign and root.
 - :mod:`meadows.axioms` — the law catalog and the exhaustive/randomized
   checking engine, including pseudo-unit/zero propagation checks and the
   mod-3 separation argument (``verify_f3_argument``).

@@ -182,12 +182,27 @@ def _decimal(n: int) -> str:
 
 
 def _parse_decimal(digits: str) -> int:
-    """The inverse of :func:`_decimal`, in chunks that fit every digit limit."""
-    head = len(digits) % _CHUNK
-    n = int(digits[:head] or 0)
-    for i in range(head, len(digits), _CHUNK):
-        n = n * _CHUNK_BASE + int(digits[i : i + _CHUNK])
-    return n
+    """The inverse of :func:`_decimal`, whatever the int-to-str digit limit.
+
+    A string over one chunk is split so that its low part has ``640 * 2**j``
+    digits, at least half; the parts are parsed recursively and joined as
+    ``hi * 10**k + lo``, whose int products are subquadratic.
+    """
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    powers: dict[int, int] = {}
+
+    def convert(digits: str) -> int:
+        if len(digits) <= _CHUNK:
+            return int(digits)
+        k = _CHUNK
+        while 2 * k < len(digits):
+            k *= 2
+        if k not in powers:
+            powers[k] = 10**k
+        return convert(digits[:-k]) * powers[k] + convert(digits[-k:])
+
+    return convert(digits)
 
 
 def approx_decimal(value: Real, digits: int) -> str:

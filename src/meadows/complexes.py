@@ -19,8 +19,6 @@ from typing import Optional, Union
 
 from .exact import Real, Session
 
-_Scalar = Union["Complex", Real, int, Fraction]
-
 
 class Complex:
     """A complex number with exact constructible-real coordinates."""

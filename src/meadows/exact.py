@@ -29,8 +29,8 @@ whose root is irrational, since finding such a root again means a fresh
 search down the whole tower.  The tower only grows and the positive root is
 unique, so a cached root stays correct for the life of the session.  The memo
 grows with the number of distinct such arguments and is never evicted.  A
-session likewise keeps the canonical closed form of each level's radical,
-which :mod:`meadows.simplify` fills when it prints a value.
+value prints as its canonical closed term, :func:`value_to_term`, for which
+the session likewise keeps the closed form of each level's radical.
 
 Sessions are mutable (``ssqrt`` may adjoin a new level) and are meant to be
 confined to one thread; values from different sessions must never be mixed,
@@ -40,19 +40,18 @@ and attempting to do so raises :class:`SessionMismatch`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt
 from operator import add, sub
 from typing import Optional, Union
 
-from .approx import _decimal, approx_decimal
+from .approx import approx_decimal
+from .terms import ZERO, Add, Const, Mul, Neg, Sqrt, Term, _literal, render
 
 Scalar = Union[int, Fraction]
 
 #: A sign is one of -1, 0, +1.
 SignValue = int
-
-#: Integer coordinate vector of length 2**depth.
-Vec = "tuple[int, ...]"
 
 
 class SessionMismatch(ValueError):
@@ -304,8 +303,8 @@ class Session:
         # positive radicand (num, den) -> its positive root (num, den)
         self._roots: dict[tuple, tuple] = {}
         # level -> (sort key, Sqrt term) of its root in canonical closed
-        # forms, filled by meadows.simplify; a radicand never changes, so an
-        # entry stays right for the life of the session
+        # forms, filled by _radical; a radicand never changes, so an entry
+        # stays right for the life of the session
         self._radicals: dict[int, tuple] = {}
 
     @property
@@ -369,8 +368,6 @@ class Session:
             y, w = Real(self, *radicand), Real(self, *root)
             if w.sign() <= 0 or w * w != y:
                 raise TowerInvariantError(f"memoized root of {y!r} is wrong")
-        from .simplify import _radical
-
         memo, self._radicals = self._radicals, {}
         try:
             for level, entry in memo.items():
@@ -657,16 +654,11 @@ class Real:
         return approx_decimal(self, digits)
 
     def serialize(self) -> str:
-        """Canonical closed-term string; see :func:`meadows.simplify.value_to_term`."""
-        if len(self._num) == 1:  # as terms.render writes a constant, or its Neg
+        """Canonical closed-term string; see :func:`value_to_term`."""
+        if len(self._num) == 1:  # as render writes a constant, or its Neg
             c = self._num[0]
-            body = _decimal(abs(c))
-            if self._den != 1:
-                body += f"/{_decimal(self._den)}"
+            body = _literal(abs(c), self._den)
             return f"-{body}" if c < 0 else body
-        from .simplify import value_to_term
-        from .terms import render
-
         return render(value_to_term(self))
 
     def __repr__(self) -> str:
@@ -685,3 +677,54 @@ def _canonical(session: Session, num: tuple, den: int) -> Real:
     value = object.__new__(Real)
     value._session, value._num, value._den = session, num, den
     return value
+
+
+def value_to_term(value: Real) -> Term:
+    """The canonical closed term ``q0 + q1 * sqrt(r1) + ...`` denoting ``value``.
+
+    Each nonzero coordinate contributes one summand: its rational coefficient
+    times one ``sqrt`` factor per tower level involved, each radicand rendered
+    recursively, once per session.  Factors are sorted by radicand depth and
+    then display string, the rational summand first.  The form is canonical
+    for the session's order of adjoined roots.
+    """
+    session = value.session
+    if value.is_zero():
+        return ZERO
+
+    parts = []
+    for index, q in enumerate(value.coords):
+        if q == 0:
+            continue
+        factors = sorted(
+            (
+                _radical(session, level + 1)
+                for level in range(value.depth)
+                if index >> level & 1
+            ),
+            key=lambda pair: pair[0],
+        )
+        part_key = tuple(key for key, _ in factors)
+        magnitude = abs(q)
+        items = [t for _, t in factors]
+        if magnitude != 1 or not items:
+            items.insert(0, Const(magnitude))
+        term = reduce(Mul, items)
+        parts.append((part_key, Neg(term) if q < 0 else term))
+
+    parts.sort(key=lambda pair: pair[0])
+    return reduce(Add, (part for _, part in parts))
+
+
+def _radical(session: Session, level: int) -> tuple[tuple[int, str], Term]:
+    """The sort key and ``Sqrt`` term of the root adjoined at ``level``.
+
+    Kept in the session's radical memo: a radicand never changes, so neither
+    does its canonical form.
+    """
+    entry = session._radicals.get(level)
+    if entry is None:
+        radicand = session.radicand_value(level)
+        arg = value_to_term(radicand)
+        entry = session._radicals[level] = ((radicand.depth, render(arg)), Sqrt(arg))
+    return entry

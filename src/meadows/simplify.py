@@ -1,13 +1,14 @@
-"""Canonical closed forms and a terminating term-rewriting simplifier.
+"""Closed-term decisions and a terminating term-rewriting simplifier.
 
 Two independent services live here:
 
-* **Canonical forms.**  :func:`value_to_term` turns a kernel value into the
-  canonical closed term ``q0 + q1 * sqrt(r1) + q2 * sqrt(r1) * sqrt(r2) + ...``
-  (rational coefficients, radical factors sorted by radicand depth and then
-  display string, rational summand first).  :func:`normalize_closed` composes
-  parse → evaluate → canonicalise → render, so any two closed terms denoting
-  the same number normalise to the same string.
+* **Closed terms.**  :func:`normalize_closed` composes parse → evaluate →
+  render, so a closed term prints as the canonical form of its value,
+  :func:`~meadows.exact.value_to_term` (re-exported here).  That form is
+  canonical only for a fixed order of adjoined roots: ``sqrt(6)`` and
+  ``sqrt(2)*sqrt(3)`` denote the same number but normalise to ``sqrt(6)``
+  and ``sqrt(2) * sqrt(3)``.  :func:`decide_closed_eq` decides equality
+  exactly, by evaluating both terms in one session.
 
 * **Rewriting.**  :data:`REWRITE_RULES` is a list of oriented identities (all
   sound for the exact model); :func:`rewrite_simplify` applies them
@@ -20,18 +21,12 @@ Two independent services live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .exact import Real, Session
+from .exact import Session, value_to_term
 from .terms import (
-    Add,
     Const,
-    Mul,
-    Neg,
-    Sqrt,
     Term,
     Var,
-    ZERO,
     _children,
     _rebuild,
     _replace,
@@ -39,61 +34,6 @@ from .terms import (
     parse,
     render,
 )
-
-
-def value_to_term(value: Real) -> Term:
-    """The canonical closed term denoting ``value``.
-
-    Each nonzero coordinate of the value contributes one summand: its
-    rational coefficient times one ``sqrt`` factor per tower level involved,
-    where each radicand is rendered recursively through this same function,
-    once per session.
-    """
-    session = value.session
-    if value.is_zero():
-        return ZERO
-
-    parts = []
-    for index, q in enumerate(value.coords):
-        if q == 0:
-            continue
-        factors = sorted(
-            (
-                _radical(session, level + 1)
-                for level in range(value.depth)
-                if index >> level & 1
-            ),
-            key=lambda pair: pair[0],
-        )
-        part_key = tuple(key for key, _ in factors)
-        magnitude = abs(q)
-        items = [t for _, t in factors]
-        if magnitude != 1 or not items:
-            items.insert(0, Const(magnitude))
-        term = items[0]
-        for item in items[1:]:
-            term = Mul(term, item)
-        parts.append((part_key, Neg(term) if q < 0 else term))
-
-    parts.sort(key=lambda pair: pair[0])
-    total = parts[0][1]
-    for _, part in parts[1:]:
-        total = Add(total, part)
-    return total
-
-
-def _radical(session: Session, level: int) -> tuple[tuple[int, str], Term]:
-    """The sort key and ``Sqrt`` term of the root adjoined at ``level``.
-
-    Kept in the session's radical memo: a radicand never changes, so neither
-    does its canonical form.
-    """
-    entry = session._radicals.get(level)
-    if entry is None:
-        radicand = session.radicand_value(level)
-        arg = value_to_term(radicand)
-        entry = session._radicals[level] = ((radicand.depth, render(arg)), Sqrt(arg))
-    return entry
 
 
 def normalize_closed(src: str) -> str:
@@ -170,26 +110,6 @@ def _match(pattern: Term, term: Term, bindings: dict[Var, Term]) -> bool:
     )
 
 
-def _rewrite_once(
-    term: Term, path: tuple[int, ...]
-) -> Optional[tuple[Term, str, tuple[int, ...]]]:
-    """Leftmost-innermost: rewrite inside children before the node itself."""
-    children = _children(term)
-    for i, child in enumerate(children):
-        hit = _rewrite_once(child, path + (i,))
-        if hit is not None:
-            new_child, rule_name, where = hit
-            rebuilt = _rebuild(
-                term, tuple(new_child if j == i else c for j, c in enumerate(children))
-            )
-            return rebuilt, rule_name, where
-    for rule in REWRITE_RULES:
-        bindings: dict[Var, Term] = {}
-        if _match(rule.pattern, term, bindings):
-            return _replace(rule.replacement, bindings.get), rule.name, path
-    return None
-
-
 @dataclass(frozen=True)
 class SimplifyResult:
     """Outcome of :func:`rewrite_simplify`."""
@@ -214,18 +134,36 @@ class SimplifyResult:
 def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
     """Apply :data:`REWRITE_RULES` leftmost-innermost until none fires.
 
-    The rule set terminates on its own (see the module docstring);
-    ``max_steps`` is a safety net that sets ``truncated`` when hit.
+    One pass: a node's children are normalised first, then the rules are
+    tried at the node in order, and a fired rule's replacement is normalised
+    again at the same path.  The rule set terminates on its own (see the
+    module docstring); ``max_steps`` is a safety net that sets ``truncated``
+    when a rule still matches after that many steps.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     trace: list[tuple[str, tuple[int, ...]]] = []
-    current = term
-    for _ in range(max_steps):
-        hit = _rewrite_once(current, ())
-        if hit is None:
-            return SimplifyResult(current, len(trace), False, tuple(trace))
-        current, rule_name, path = hit
-        trace.append((rule_name, path))
-    truncated = _rewrite_once(current, ()) is not None
-    return SimplifyResult(current, len(trace), truncated, tuple(trace))
+    truncated = False
+
+    def normalize(t: Term, path: tuple[int, ...]) -> Term:
+        nonlocal truncated
+        while not truncated:
+            kids = _children(t)
+            new = [normalize(c, path + (i,)) for i, c in enumerate(kids)]
+            if any(a is not b for a, b in zip(new, kids)):
+                t = _rebuild(t, new)
+            for rule in REWRITE_RULES:
+                bindings: dict[Var, Term] = {}
+                if _match(rule.pattern, t, bindings):
+                    break
+            else:
+                break
+            truncated = len(trace) == max_steps
+            if truncated:
+                break
+            trace.append((rule.name, path))
+            t = _replace(rule.replacement, bindings.get)
+        return t
+
+    result = normalize(term, ())
+    return SimplifyResult(result, len(trace), truncated, tuple(trace))

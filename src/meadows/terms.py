@@ -32,11 +32,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .approx import _CHUNK_BASE, _decimal, _parse_decimal
-from .exact import Real, Session
 from .finite import PrimeField
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .exact import Real, Session
 
 __all__ = [
     "Term", "Const", "Var", "Add", "Mul", "Neg", "Inv", "Sign", "Sqrt",
@@ -289,11 +291,7 @@ def _render(t: Term, min_prec: int) -> str:
         body = f"-{_render(t.arg, 3)}"
         prec = 3
     elif isinstance(t, Const):
-        q = t.value
-        body = _decimal(q.numerator)
-        if q.denominator != 1:
-            body += f"/{_decimal(q.denominator)}"
-        prec = 4
+        body, prec = _literal(t.value.numerator, t.value.denominator), 4
     elif isinstance(t, Var):
         body, prec = t.name, 4
     elif isinstance(t, Inv):
@@ -307,6 +305,11 @@ def _render(t: Term, min_prec: int) -> str:
     else:  # pragma: no cover
         raise TypeError(f"not a term: {t!r}")
     return f"({body})" if prec < min_prec else body
+
+
+def _literal(num: int, den: int) -> str:
+    """The text of the rational literal ``num/den`` (``num >= 0``, ``den > 0``)."""
+    return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
 
 
 # ---------------------------------------------------------------------------

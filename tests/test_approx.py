@@ -192,8 +192,12 @@ class TestDecimalConversion:
             with int_str_limit(0):
                 expected = str(n)
             assert _decimal(n) == expected
+            assert _parse_decimal(expected) == n
+        assert _parse_decimal("007") == 7
+        assert _parse_decimal("0" * 2 * _CHUNK + "7") == 7
 
     def test_a_number_with_as_many_digits_as_the_cap(self):
         n = 10**_MAX_DIGITS // 3
         out = _decimal(n)
         assert len(out) == _MAX_DIGITS and set(out) == {"3"}
+        assert _parse_decimal(out) == n

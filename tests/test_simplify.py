@@ -1,6 +1,8 @@
 """Tests for canonical closed forms and the rewriting simplifier."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from meadows.exact import Session
 from meadows.simplify import (
     REWRITE_RULES,
     SimplifyResult,
+    _match,
     decide_closed_eq,
     normalize_closed,
     rewrite_simplify,
@@ -17,11 +20,49 @@ from meadows.simplify import (
 )
 from meadows.terms import (
     EvalError,
+    _children,
+    _rebuild,
+    _replace,
     eval_exact,
     gen_random_term,
     parse,
     render,
 )
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "rewrite_golden.json"
+
+
+def _rewrite_once(term, path):
+    """The leftmost-innermost redex of ``term``, rewritten: children first."""
+    children = _children(term)
+    for i, child in enumerate(children):
+        hit = _rewrite_once(child, path + (i,))
+        if hit is not None:
+            new_child, rule_name, where = hit
+            rebuilt = _rebuild(
+                term, tuple(new_child if j == i else c for j, c in enumerate(children))
+            )
+            return rebuilt, rule_name, where
+    for rule in REWRITE_RULES:
+        bindings = {}
+        if _match(rule.pattern, term, bindings):
+            return _replace(rule.replacement, bindings.get), rule.name, path
+    return None
+
+
+def restarting_rewrite(term, max_steps):
+    """Reference for :func:`rewrite_simplify`: one step at a time, each
+    searching for the next redex from the root."""
+    trace = []
+    current = term
+    for _ in range(max_steps):
+        hit = _rewrite_once(current, ())
+        if hit is None:
+            return SimplifyResult(current, len(trace), False, tuple(trace))
+        current, rule_name, path = hit
+        trace.append((rule_name, path))
+    truncated = _rewrite_once(current, ()) is not None
+    return SimplifyResult(current, len(trace), truncated, tuple(trace))
 
 
 class TestValueToTerm:
@@ -164,6 +205,15 @@ class TestRewriteSimplify:
         assert frozen.term == term and frozen.truncated
         with pytest.raises(ValueError):
             rewrite_simplify(term, max_steps=-1)
+
+    def test_matches_the_restarting_reference(self):
+        rng = random.Random(29)
+        terms = [gen_random_term(None, rng.randint(1, 14), rng=rng) for _ in range(400)]
+        terms += [parse(src) for src, _, _ in json.loads(GOLDEN.read_text())]
+        for term in terms:
+            for max_steps in (0, 1, 2, 3, 1000):
+                expected = restarting_rewrite(term, max_steps)
+                assert rewrite_simplify(term, max_steps) == expected, render(term)
 
     def test_preserves_semantics_on_random_terms(self):
         rng = random.Random(19)
