@@ -23,17 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import Session, value_to_term
-from .terms import (
-    Const,
-    Term,
-    Var,
-    _children,
-    _rebuild,
-    _replace,
-    eval_exact,
-    parse,
-    render,
-)
+from .terms import Const, Term, Var, _children, _rebuild, _replace, eval_exact, parse, render
 
 
 def normalize_closed(src: str) -> str:
@@ -149,7 +139,11 @@ def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
         nonlocal truncated
         while not truncated:
             kids = _children(t)
-            new = [normalize(c, path + (i,)) for i, c in enumerate(kids)]
+            # A loop, not a comprehension, which before Python 3.12 takes a
+            # frame of its own and would halve the nesting depth reachable.
+            new = []
+            for i, c in enumerate(kids):
+                new.append(normalize(c, path + (i,)))
             if any(a is not b for a, b in zip(new, kids)):
                 t = _rebuild(t, new)
             for rule in REWRITE_RULES:

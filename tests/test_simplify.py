@@ -215,6 +215,19 @@ class TestRewriteSimplify:
                 expected = restarting_rewrite(term, max_steps)
                 assert rewrite_simplify(term, max_steps) == expected, render(term)
 
+    @pytest.mark.parametrize(
+        "src",
+        ["x^600", "x" + "*1" * 600, "x" + "+0" * 600],
+        ids=["power", "mul-by-one", "add-zero"],
+    )
+    def test_deep_terms_match_the_reference(self, src):
+        # ``^`` and chained operators build left-nested terms without
+        # recursing in the parser, so these reach about 600 levels: the
+        # one-pass rewriter must fit them in the default recursion limit
+        # just as the restarting loop does.
+        term = parse(src)
+        assert rewrite_simplify(term) == restarting_rewrite(term, 1000)
+
     def test_preserves_semantics_on_random_terms(self):
         rng = random.Random(19)
         for _ in range(40):
