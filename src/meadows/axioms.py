@@ -30,13 +30,16 @@ pseudo-zero propagates through arbitrary one-hole contexts, and
 dispatches a whole suite and returns one report per law.
 :func:`verify_f3_argument` replays the mod-3 separation argument with them.
 
-All four checkers run one checking loop.  Each supplies a generator with one
-outcome per trial: ``(valuation, lhs, rhs)`` when the trial's premises hold
-(an equation has none), or ``None`` when they fail.  The loop counts the
-trials, keeps the first :data:`MAX_FAILURES` refutations and builds the
-:class:`CheckReport`.  An equation or conditional equation is compiled once
-per model kind into straight-line code (``terms._compile``), which every
-trial runs; the compiled code lives as long as the law.
+All four checkers share one tally.  Each runs its trials and calls
+``refute(valuation, lhs, rhs)`` for every trial whose two sides differ, then
+says how many trials had their premises hold and how many were skipped (an
+equation has no premises); the tally counts the refutations, keeps the first
+:data:`MAX_FAILURES` and builds the :class:`CheckReport`.  An equation or
+conditional equation is compiled once per model kind into one Python loop
+over all its trials (``terms._compile``): its valuations are prime-field
+tuples, enumerated or sampled, or exact draws in a fresh session per trial,
+and the valuation dict of a field trial is built only when it refutes.  The
+compiled code lives as long as the law.
 """
 
 from __future__ import annotations
@@ -535,28 +538,27 @@ def _pick_mode(resolved, mode: Optional[str], nvars: int) -> str:
 
 
 def _check(
-    outcomes, name, statement, model, mode, trials, seed, conditional=False
+    run, name, statement, model, mode, trials, seed, conditional=False
 ) -> CheckReport:
-    """The one checking loop: tally the outcomes of a law's trials.
+    """The one tally of every checker.
 
-    Each outcome is ``(valuation, lhs, rhs)`` for a trial whose premises hold,
-    or ``None`` for one whose premises fail.  Only a ``conditional`` report
-    carries the ``satisfied`` and ``skipped`` counts.
+    ``run(refute)`` runs a law's trials, calls ``refute(valuation, lhs,
+    rhs)`` for each whose premises hold and whose sides differ, and returns
+    how many trials had their premises hold and how many did not.  Only a
+    ``conditional`` report carries those two counts.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     failures: list[Failure] = []
-    count = satisfied = skipped = 0
-    for outcome in outcomes:
-        if outcome is None:
-            skipped += 1
-            continue
-        satisfied += 1
-        valuation, lhs, rhs = outcome
-        if lhs != rhs:
-            count += 1
-            if len(failures) < MAX_FAILURES:
-                failures.append(_failure(valuation, lhs, rhs))
+    count = 0
+
+    def refute(valuation: dict, lhs, rhs) -> None:
+        nonlocal count
+        count += 1
+        if len(failures) < MAX_FAILURES:
+            failures.append(_failure(valuation, lhs, rhs))
+
+    satisfied, skipped = run(refute)
     report = CheckReport(
         name, statement, model, mode, satisfied + skipped, failures, count, seed=seed
     )
@@ -590,7 +592,7 @@ def _random_valuation(rng, variables, strategy, trial: int):
     return valuation, session
 
 
-# Each law's compiled evaluators by model kind (exact or not), keyed by the
+# Each law's compiled trial loops by model kind (exact or not), keyed by the
 # law's id because hashing a law re-hashes every node of its terms.  A
 # finalizer drops the entry when the law is collected, before its id can be
 # reused, so an entry lives exactly as long as its law.
@@ -602,43 +604,33 @@ def _compiled(law, exact: bool):
     if by_kind is None:
         by_kind = _COMPILED[id(law)] = {}
         finalize(law, _COMPILED.pop, id(law), None)
-    evaluate = by_kind.get(exact)
-    if evaluate is None:
-        evaluate = by_kind[exact] = _compile(law.premises, law.lhs, law.rhs, exact)
-    return evaluate
-
-
-def _law_outcomes(law, variables, resolved, picked, trials, seed):
-    """Trial outcomes of an equation or conditional equation: exact values in
-    a fresh session per trial, or field elements enumerated or sampled, each
-    run through the law's compiled code."""
-    exact = resolved == "exact"
-    evaluate, domain = _compiled(law, exact), resolved
-    if exact:
-        rng = random.Random(seed)
-        assignments = range(trials)
-    elif picked == "exhaustive":
-        assignments = product(resolved.elements(), repeat=len(variables))
-    else:
-        rng = random.Random(seed)
-        assignments = (
-            tuple(rng.randrange(resolved.p) for _ in variables) for _ in range(trials)
-        )
-    for assignment in assignments:
-        if exact:
-            valuation, domain = _random_valuation(rng, variables, law.strategy, assignment)
-        else:
-            valuation = dict(zip(variables, assignment))
-        sides = evaluate(valuation, domain)
-        yield None if sides is None else (valuation, *sides)
+    loop = by_kind.get(exact)
+    if loop is None:
+        loop = by_kind[exact] = _compile(law.variables, law.premises, law.lhs, law.rhs, exact)
+    return loop
 
 
 def _check_law(law, model, mode, trials, seed):
+    """Run an equation or conditional equation's compiled loop over exact
+    draws in a fresh session per trial, or over field tuples enumerated in
+    ``product`` order or sampled."""
     resolved = resolve_model(model)
     variables = law.variables
     picked = _pick_mode(resolved, mode, len(variables))
+    exact = resolved == "exact"
+    if picked == "exhaustive":
+        valuations = product(resolved.elements(), repeat=len(variables))
+    elif exact:
+        rng = random.Random(seed)
+        valuations = (
+            _random_valuation(rng, variables, law.strategy, trial) for trial in range(trials)
+        )
+    else:
+        draw, p = random.Random(seed).randrange, resolved.p
+        valuations = (tuple(draw(p) for _ in variables) for _ in range(trials))
+    loop = _compiled(law, exact)
     return _check(
-        _law_outcomes(law, variables, resolved, picked, trials, seed),
+        lambda refute: loop(valuations, resolved, refute),
         law.name,
         law.statement,
         _model_name(resolved),
@@ -674,7 +666,7 @@ def check_conditional(
     return _check_law(cond, model, mode, trials, seed)
 
 
-def _propagation_outcomes(kind: str, fixed_context, trials: int, seed: int):
+def _propagation_trials(kind: str, fixed_context, trials: int, seed: int, refute):
     rng = random.Random(seed)
     for _ in range(trials):
         session = Session()
@@ -700,7 +692,8 @@ def _propagation_outcomes(kind: str, fixed_context, trials: int, seed: int):
         if lhs != rhs:  # a failure names its context and plugged term
             valuation["[context]"] = render(context)
             valuation["[plug]"] = render(plug)
-        yield valuation, lhs, rhs
+            refute(valuation, lhs, rhs)
+    return trials, 0
 
 
 def check_propagation(
@@ -723,7 +716,7 @@ def check_propagation(
     if kind not in ("unit", "zero"):
         raise ValueError("kind must be 'unit' or 'zero'")
     return _check(
-        _propagation_outcomes(kind, fixed_context, trials, seed),
+        lambda refute: _propagation_trials(kind, fixed_context, trials, seed, refute),
         f"propagation-{kind}",
         f"u * C[r] == u * C[u * r] for the pseudo-{kind} u",
         "exact",
@@ -733,7 +726,7 @@ def check_propagation(
     )
 
 
-def _complex_outcomes(law: ComplexLaw, trials: int, seed: int):
+def _complex_trials(law: ComplexLaw, trials: int, seed: int, refute):
     rng = random.Random(seed)
     for _ in range(trials):
         session = Session()
@@ -742,7 +735,9 @@ def _complex_outcomes(law: ComplexLaw, trials: int, seed: int):
             for _ in range(law.nvars)
         ]
         lhs, rhs = law.fn(session, *values)
-        yield {f"z{i + 1}": z for i, z in enumerate(values)}, lhs, rhs
+        if lhs != rhs:
+            refute({f"z{i + 1}": z for i, z in enumerate(values)}, lhs, rhs)
+    return trials, 0
 
 
 def check_complex_law(
@@ -750,7 +745,7 @@ def check_complex_law(
 ) -> CheckReport:
     """Check one complex-extension law on random complex values."""
     return _check(
-        _complex_outcomes(law, trials, seed),
+        lambda refute: _complex_trials(law, trials, seed, refute),
         law.name,
         law.statement,
         "complex",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -37,6 +38,12 @@ from .terms import (
 )
 
 _SIGNATURES = {"m": SIGMA_M, "ms": SIGMA_MS, "mss": SIGMA_MSS}
+
+# argparse reads an argument that starts with "-" as an option unless it
+# matches its parser's negative-number pattern.  The subcommands use this one
+# instead, so a term such as "-sqrt(2)" is an argument while "--bogus" is
+# still an unknown option (and "-h" still asks for help).
+_TERM_OR_NUMBER = re.compile(r"-[^-]")
 
 
 def _emit(data: dict, as_json: bool, text_lines: Sequence[str]) -> None:
@@ -178,6 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, fn, help_text):
         p = sub.add_parser(name, help=help_text, description=help_text)
+        p._negative_number_matcher = _TERM_OR_NUMBER
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.set_defaults(fn=fn)
         return p

@@ -126,24 +126,27 @@ def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
 
     One pass: a node's children are normalised first, then the rules are
     tried at the node in order, and a fired rule's replacement is normalised
-    again at the same path.  The rule set terminates on its own (see the
-    module docstring); ``max_steps`` is a safety net that sets ``truncated``
-    when a rule still matches after that many steps.
+    again at the same path, except for the subterms bound to the rule's
+    variables, which are normal already.  The rule set terminates on its own
+    (see the module docstring); ``max_steps`` is a safety net that sets
+    ``truncated`` when a rule still matches after that many steps.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     trace: list[tuple[str, tuple[int, ...]]] = []
     truncated = False
 
-    def normalize(t: Term, path: tuple[int, ...]) -> Term:
+    def normalize(t: Term, path: tuple[int, ...], normal: dict[int, Term]) -> Term:
+        # ``normal`` holds, by id, subterms known to be normal; holding them
+        # keeps each id bound to its term.
         nonlocal truncated
-        while not truncated:
+        while not truncated and id(t) not in normal:
             kids = _children(t)
             # A loop, not a comprehension, which before Python 3.12 takes a
             # frame of its own and would halve the nesting depth reachable.
             new = []
             for i, c in enumerate(kids):
-                new.append(normalize(c, path + (i,)))
+                new.append(normalize(c, path + (i,), normal))
             if any(a is not b for a, b in zip(new, kids)):
                 t = _rebuild(t, new)
             for rule in REWRITE_RULES:
@@ -157,7 +160,8 @@ def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
                 break
             trace.append((rule.name, path))
             t = _replace(rule.replacement, bindings.get)
+            normal = {id(b): b for b in bindings.values()}
         return t
 
-    result = normalize(term, ())
+    result = normalize(term, (), {})
     return SimplifyResult(result, len(trace), truncated, tuple(trace))

@@ -470,25 +470,42 @@ _EXACT_SOURCE = {
 }
 
 
-def _compile(premises: Sequence[tuple], lhs: Term, rhs: Term, exact: bool):
-    """Straight-line code for a law, for the exact model or for prime fields.
+def _compile(
+    variables: Sequence[str], premises: Sequence[tuple], lhs: Term, rhs: Term, exact: bool
+):
+    """The whole trial loop of a law, for the exact model or for prime fields.
 
-    Returns ``law(valuation, domain)``, where ``domain`` is the trial's
-    :class:`Session` (``exact``) or a :class:`PrimeField`, and ``valuation``
-    binds every variable of the law.  It returns ``None`` as soon as a
-    premise ``(left, right, "eq" | "ne")`` fails, else the two sides: what
-    :func:`eval_exact` or :func:`eval_mod_p` give for ``lhs`` and ``rhs``,
-    or the error they raise first.  The nodes are emitted in the order the
-    walks first evaluate them, each distinct subterm once, so the exact
-    session adjoins the same roots in the same order.  Over a field, sums,
-    products and negations stay in Z and are reduced once at the end, and
-    the node where the walk raises, before its children, becomes a
-    ``raise``.  Only ints and ``repr`` of variable names go into the source;
-    an int of more than one 640-digit chunk is written in hex, which compiles
-    under any int-to-str digit limit.
+    Returns ``law(trials, domain, refute)``, which runs every trial and
+    returns ``(satisfied, skipped)``.  A trial is skipped as soon as a premise
+    ``(left, right, "eq" | "ne")`` fails; otherwise it counts as satisfied,
+    and when its two sides differ it calls ``refute(valuation, lhs, rhs)``
+    with what :func:`eval_exact` or :func:`eval_mod_p` give for ``lhs`` and
+    ``rhs``.  An error ends the loop where the walks would raise it first.
+
+    Over a field, ``domain`` is the :class:`PrimeField`, whose ``p`` and
+    ``inv`` are bound once, and each trial is a tuple of ints, one per name
+    in ``variables``, unpacked into locals; the valuation dict is built only
+    for ``refute``.  On the exact model each trial is ``(valuation,
+    session)``, the valuation binding every variable of the law, and
+    ``domain`` is not read.
+
+    The nodes are emitted in the order the walks first evaluate them, each
+    distinct subterm once per trial, so the exact session adjoins the same
+    roots in the same order.  Over a field, sums, products and negations stay
+    in Z and are reduced once at the end, and the node where the walk raises,
+    before its children, becomes a ``raise``.  Only ints and ``repr`` of
+    variable names go into the source; an int of more than one 640-digit
+    chunk is written in hex, which compiles under any int-to-str digit limit.
     """
     lines: list[str] = []
-    slots: dict[Term, str] = {}
+    if exact:
+        slots: dict[Term, str] = {}
+        loop = ["for v, session in trials:"]
+        lines += ["rational = session.rational", "value = session.value"]
+    else:
+        slots = {Var(name): f"v{i}" for i, name in enumerate(variables)}
+        unpack = ", ".join(slots.values())
+        loop = ["inv = domain.inv", "p = domain.p", f"for [{unpack}] in trials:"]
     templates = _EXACT_SOURCE if exact else _FIELD_SOURCE
 
     def emit(t: Term) -> str:
@@ -501,10 +518,15 @@ def _compile(premises: Sequence[tuple], lhs: Term, rhs: Term, exact: bool):
             )
             if exact:
                 expr = f"rational({n}, {d})"
+            elif d == 1:  # an int literal needs no slot
+                slots[t] = str(n)
+                return slots[t]
             else:
-                expr = str(n) if d == 1 else f"{n} * inv({d})"
+                expr = f"{n} * inv({d})"
         elif isinstance(t, Var):
-            expr = f"value(v[{t.name!r}])" if exact else f"v[{t.name!r}]"
+            if not exact:  # a field trial binds only ``variables``
+                raise KeyError(t.name)
+            expr = f"value(v[{t.name!r}])"
         elif type(t) in templates:
             expr = templates[type(t)].format(*map(emit, _children(t)))
         else:
@@ -518,14 +540,19 @@ def _compile(premises: Sequence[tuple], lhs: Term, rhs: Term, exact: bool):
     for left, right, kind in premises:
         a, b = emit(left), emit(right)
         same = f"{a} == {b}" if exact else f"({a} - {b}) % p == 0"
-        lines.append(f"if {'not ' if kind == 'eq' else ''}{same}: return None")
+        lines.append(f"if {'not ' if kind == 'eq' else ''}{same}: skipped += 1; continue")
     a, b = emit(lhs), emit(rhs)
-    lines.append(f"return {a}, {b}" if exact else f"return {a} % p, {b} % p")
     if exact:
-        head = ["rational = domain.rational", "value = domain.value"]
+        lines.append(f"lhs, rhs = {a}, {b}")
+        valuation = "v"
     else:
-        head = ["inv = domain.inv", "p = domain.p"]
-    source = "def law(v, domain):\n" + "".join(f"    {line}\n" for line in head + lines)
+        lines.append(f"lhs, rhs = {a} % p, {b} % p")
+        valuation = "{%s}" % ", ".join(f"{n!r}: v{i}" for i, n in enumerate(variables))
+    lines += ["satisfied += 1", f"if lhs != rhs: refute({valuation}, lhs, rhs)"]
+    source = "def law(trials, domain, refute):\n    satisfied = skipped = 0\n"
+    source += "".join(f"    {line}\n" for line in loop)
+    source += "".join(f"        {line}\n" for line in lines)
+    source += "    return satisfied, skipped\n"
     namespace = {"EvalError": EvalError, "UnsupportedSymbolError": UnsupportedSymbolError}
     exec(compile(source, "<compiled law>", "exec"), namespace)
     return namespace["law"]

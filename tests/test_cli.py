@@ -296,6 +296,26 @@ class TestErrors:
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (("eval", "-sqrt(2)"), "canonical: -sqrt(2)\ndecimal:   -1.4142135623\n"),
+            (("eval", "-sqrt(2)", "--digits", "3"), "canonical: -sqrt(2)\ndecimal:   -1.414\n"),
+            (("simplify", "-(-x)"), "x\n"),
+            (("equal", "-sqrt(2)", "-1 * sqrt(2)"), "equal\n"),
+            (("equal", "-1", "-inv(1)"), "equal\n"),
+            (("sign", "-sqrt(2)"), "-1\n"),
+        ],
+        ids=["eval", "eval-digits", "simplify", "equal", "equal-number", "sign"],
+    )
+    def test_terms_that_start_with_a_minus_are_terms(self, capsys, argv, shown):
+        assert run(capsys, *argv) == (0, shown, "")
+
+    def test_unknown_options_are_still_bad_input(self, capsys):
+        code, out, err = run(capsys, "eval", "--bogus", "1")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --bogus" in err
+
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

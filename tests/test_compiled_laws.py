@@ -1,12 +1,17 @@
-"""Differential tests: compiled laws against the recursive walks.
+"""Differential tests: compiled law loops against the recursive walks.
 
-The checker runs each equation or conditional equation through code that
-``terms._compile`` generates once per law and model kind.  The public walks
-``eval_exact`` and ``eval_mod_p`` stay the reference: for random laws built
-from ``gen_random_term`` (two sides and up to two premises), every trial must
-give the same outcome, ``None`` when a premise fails or else both sides,
-or the same error.  On the exact model, the trial's session must also end with
-the same tower, so the compiled code adjoins the same roots in the same order.
+The checker runs each equation or conditional equation through one loop over
+all its trials, which ``terms._compile`` generates once per law and model
+kind.  The public walks ``eval_exact`` and ``eval_mod_p`` stay the
+reference: ``walk_loop`` is the same loop built from them.  For random laws
+built from ``gen_random_term`` (two sides and up to two premises), the two
+loops must report the same over every prefix of the trials, so each trial
+gets the same verdict (skipped, equal, or refuted with both sides), the
+counts agree, and an error has the same class and message and ends the same
+trial.  On the exact model, each trial's session must also end with the same
+tower, so the compiled code adjoins the same roots in the same order.  Last,
+every field law of the catalog gives the same report as one built with
+``eval_mod_p`` per valuation.
 """
 
 import gc
@@ -16,19 +21,32 @@ import sys
 import weakref
 from collections.abc import Mapping, Sequence, Set
 from fractions import Fraction
+from itertools import product
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meadows.axioms import Equation, check_equation, random_value
+from meadows.axioms import (
+    MAX_FAILURES,
+    ComplexLaw,
+    ConditionalEquation,
+    Equation,
+    catalog,
+    check_equation,
+    random_value,
+)
 from meadows.exact import Session
 from meadows.finite import PrimeField, primes_upto
 from meadows.terms import (
     SIGMA_M,
     SIGMA_MSS,
     Const,
+    Sign,
+    Sqrt,
     _compile,
+    _subterms,
     eval_exact,
     eval_mod_p,
     gen_random_context,
@@ -48,6 +66,51 @@ def walk_outcome(premises, lhs, rhs, evaluate, valuation, domain):
         if equal != (kind == "eq"):
             return None
     return evaluate(lhs, valuation, domain), evaluate(rhs, valuation, domain)
+
+
+def walk_loop(variables, premises, lhs, rhs, exact):
+    """What ``_compile`` returns, built from the walks: the same trials,
+    domain, ``refute`` calls and counts."""
+    evaluate = eval_exact if exact else eval_mod_p
+
+    def law(trials, domain, refute):
+        satisfied = skipped = 0
+        for trial in trials:
+            if exact:
+                valuation, domain = trial
+            else:
+                valuation = dict(zip(variables, trial))
+            outcome = walk_outcome(premises, lhs, rhs, evaluate, valuation, domain)
+            if outcome is None:
+                skipped += 1
+                continue
+            satisfied += 1
+            if outcome[0] != outcome[1]:
+                refute(valuation, *outcome)
+        return satisfied, skipped
+
+    return law
+
+
+def tally(loop, trials, domain):
+    """What a law loop reports: its counts, or the class and message of the
+    error it raised and the index of the trial that raised it, and then each
+    refutation with the index of its trial."""
+    refuted, index = [], -1
+
+    def numbered():
+        nonlocal index
+        for index, trial in enumerate(trials):
+            yield trial
+
+    def refute(valuation, lhs, rhs):
+        refuted.append((index, valuation, lhs, rhs))
+
+    try:
+        ending = loop(numbered(), domain, refute)
+    except ValueError as exc:  # EvalError and UnsupportedSymbolError
+        ending = type(exc), str(exc), index
+    return ending, refuted
 
 
 @st.composite
@@ -72,70 +135,79 @@ def laws(draw, signature, max_size, holes=False):
     return premises, term(), term()
 
 
-def _draws(seed, session):
-    rng = random.Random(seed)
-    return {v: random_value(rng, session) for v in VARIABLES}
+def _exact_trials(seed, count):
+    """``count`` trials of random draws, each in a fresh session."""
+    trials = []
+    for trial in range(count):
+        session = Session()
+        rng = random.Random(seed + trial)
+        trials.append(({v: random_value(rng, session) for v in VARIABLES}, session))
+    return trials
 
 
-def _shown(outcome):
-    """An exact outcome as plain data: coordinates are Fractions, sessions drop out."""
-    return None if outcome is None else tuple(side.coords for side in outcome)
+def _shown(reported):
+    """An exact tally as plain data: values become their coordinates, so
+    sessions drop out."""
+    ending, refuted = reported
+    return ending, [
+        (i, {v: x.coords for v, x in valuation.items()}, lhs.coords, rhs.coords)
+        for i, valuation, lhs, rhs in refuted
+    ]
+
+
+def _assert_exact_loops_agree(law, seed, count=4):
+    premises, lhs, rhs = law
+    compiled = _compile(VARIABLES, premises, lhs, rhs, exact=True)
+    walked = walk_loop(VARIABLES, premises, lhs, rhs, exact=True)
+    for k in range(1, count + 1):
+        # The same draws in two sets of sessions: one for the walk, one for the code.
+        walks, runs = _exact_trials(seed, k), _exact_trials(seed, k)
+        assert _shown(tally(compiled, runs, None)) == _shown(tally(walked, walks, None))
+        assert [s.radicands for _, s in runs] == [s.radicands for _, s in walks]
 
 
 @settings(max_examples=150, deadline=None)
 @given(laws(SIGMA_MSS, 9), st.integers(0, 2**32))
 def test_exact_compiled_law_matches_the_walk(law, seed):
-    premises, lhs, rhs = law
-    compiled = _compile(premises, lhs, rhs, exact=True)
-    for trial in range(4):
-        # The same draws in two sessions: one for the walk, one for the code.
-        walked, ran = Session(), Session()
-        valuation = _draws(seed + trial, walked)
-        expected = walk_outcome(premises, lhs, rhs, eval_exact, valuation, walked)
-        assert _shown(compiled(_draws(seed + trial, ran), ran)) == _shown(expected)
-        assert ran.radicands == walked.radicands
+    _assert_exact_loops_agree(law, seed)
 
 
-def _outcome_or_error(run):
-    try:
-        return run()
-    except ValueError as exc:  # EvalError and UnsupportedSymbolError
-        return type(exc), str(exc)
+@settings(max_examples=60, deadline=None)
+@given(laws(SIGMA_MSS, 8, holes=True), st.integers(0, 2**32))
+def test_exact_compiled_law_raises_what_the_walk_raises(law, seed):
+    # a hole raises at the node the walk enters first, in the same trial
+    _assert_exact_loops_agree(law, seed)
 
 
 @st.composite
 def field_cases(draw):
     p = draw(st.sampled_from(PRIMES))
     value = st.integers(-3 * p, 3 * p)
-    valuations = [{v: draw(value) for v in VARIABLES} for _ in range(4)]
-    return p, valuations
+    trials = [tuple(draw(value) for _ in VARIABLES) for _ in range(4)]
+    return p, trials
+
+
+def _assert_field_loops_agree(law, case):
+    premises, lhs, rhs = law
+    p, trials = case
+    field = PrimeField(p)
+    compiled = _compile(VARIABLES, premises, lhs, rhs, exact=False)
+    walked = walk_loop(VARIABLES, premises, lhs, rhs, exact=False)
+    for k in range(1, len(trials) + 1):
+        assert tally(compiled, trials[:k], field) == tally(walked, trials[:k], field)
 
 
 @settings(max_examples=300, deadline=None)
 @given(laws(SIGMA_M, 20), field_cases())
 def test_field_compiled_law_matches_the_walk(law, case):
-    premises, lhs, rhs = law
-    p, valuations = case
-    field = PrimeField(p)
-    compiled = _compile(premises, lhs, rhs, exact=False)
-    for valuation in valuations:
-        expected = walk_outcome(premises, lhs, rhs, eval_mod_p, valuation, field)
-        assert compiled(valuation, field) == expected
+    _assert_field_loops_agree(law, case)
 
 
 @settings(max_examples=200, deadline=None)
 @given(laws(SIGMA_MSS, 8, holes=True), field_cases())
 def test_field_compiled_law_raises_what_the_walk_raises(law, case):
-    # s, sqrt and holes raise at the node the walk enters first.
-    premises, lhs, rhs = law
-    p, valuations = case
-    field = PrimeField(p)
-    compiled = _compile(premises, lhs, rhs, exact=False)
-    for valuation in valuations:
-        expected = _outcome_or_error(
-            lambda: walk_outcome(premises, lhs, rhs, eval_mod_p, valuation, field)
-        )
-        assert _outcome_or_error(lambda: compiled(valuation, field)) == expected
+    # s, sqrt and holes raise at the node the walk enters first, in the same trial
+    _assert_field_loops_agree(law, case)
 
 
 def test_shared_subterms_are_computed_once():
@@ -149,9 +221,79 @@ def test_shared_subterms_are_computed_once():
             return super().inv(a)
 
     law = parse("inv(x + y) * inv(x + y)"), parse("inv(x + y)")
-    compiled = _compile((), *law, exact=False)
-    assert compiled({"x": 2, "y": 4}, Counting(7)) == (1, 6)
-    assert seen == [6]
+    compiled = _compile(("x", "y"), (), *law, exact=False)
+    assert tally(compiled, [(2, 4), (1, 0)], Counting(7)) == (
+        (2, 0),
+        [(0, {"x": 2, "y": 4}, 1, 6)],
+    )
+    assert seen == [6, 1]
+
+
+# --------------------------------------------------------------------------
+# Every field law of the catalog against a report built with the walk
+# --------------------------------------------------------------------------
+
+
+def reference_report(law, p, mode, trials=None, seed=None):
+    """``check_equation(law, p, ...).to_dict()`` built with ``eval_mod_p`` per
+    valuation: exhaustive in ``product`` order, or ``trials`` seeded draws."""
+    field, variables = PrimeField(p), law.variables
+    if mode == "exhaustive":
+        assignments = product(range(p), repeat=len(variables))
+    else:
+        rng = random.Random(seed)
+        assignments = [tuple(rng.randrange(p) for _ in variables) for _ in range(trials)]
+    failures, count, satisfied, skipped = [], 0, 0, 0
+    for assignment in assignments:
+        valuation = dict(zip(variables, assignment))
+        outcome = walk_outcome(law.premises, law.lhs, law.rhs, eval_mod_p, valuation, field)
+        if outcome is None:
+            skipped += 1
+            continue
+        satisfied += 1
+        lhs, rhs = outcome
+        if lhs != rhs:
+            count += 1
+            if len(failures) < MAX_FAILURES:
+                shown = {name: str(value) for name, value in valuation.items()}
+                failures.append({"valuation": shown, "lhs": str(lhs), "rhs": str(rhs)})
+    conditional = isinstance(law, ConditionalEquation)
+    return {
+        "schema": "meadows.check/1",
+        "name": law.name,
+        "statement": law.statement,
+        "model": f"fp:{p}",
+        "mode": mode,
+        "trials": satisfied + skipped,
+        "verdict": "pass" if count == 0 else "fail",
+        "failure_count": count,
+        "failures": failures,
+        "satisfied": satisfied if conditional else None,
+        "skipped": skipped if conditional else None,
+        "seed": seed,
+    }
+
+
+def _uses_s_or_sqrt(law):
+    sides = [law.lhs, law.rhs, *(t for l, r, _ in law.premises for t in (l, r))]
+    return any(isinstance(n, (Sign, Sqrt)) for t in sides for n in _subterms(t))
+
+
+FIELD_LAWS = [
+    law
+    for suite in catalog().sets().values()
+    for law in suite
+    if not isinstance(law, ComplexLaw) and not _uses_s_or_sqrt(law)
+]
+
+
+@pytest.mark.parametrize("law", FIELD_LAWS, ids=lambda law: law.name)
+def test_field_reports_match_the_walk(law):
+    for p in primes_upto(23):
+        report = check_equation(law, p, mode="exhaustive")
+        assert report.to_dict() == reference_report(law, p, "exhaustive")
+    report = check_equation(law, "fp:101", mode="randomized", trials=200, seed=0)
+    assert report.to_dict() == reference_report(law, 101, "randomized", 200, 0)
 
 
 # --------------------------------------------------------------------------
@@ -213,10 +355,10 @@ def test_literals_beyond_the_digit_limit_compile_for_both_models():
         assert check_equation(holds, model, trials=3).verdict == "pass"
         assert check_equation(fails, model, trials=3).verdict == "fail"
     for law in (holds, fails):
-        for exact, domain, valuation in (
-            (True, Session(), {"x": 3}),
-            (False, PrimeField(7), {"x": 3}),
+        for exact, domain, trial in (
+            (True, None, ({"x": 3}, Session())),
+            (False, PrimeField(7), (3,)),
         ):
-            evaluate = eval_exact if exact else eval_mod_p
-            expected = walk_outcome((), law.lhs, law.rhs, evaluate, valuation, domain)
-            assert _compile((), law.lhs, law.rhs, exact)(valuation, domain) == expected
+            compiled = _compile(("x",), (), law.lhs, law.rhs, exact)
+            walked = walk_loop(("x",), (), law.lhs, law.rhs, exact)
+            assert tally(compiled, [trial], domain) == tally(walked, [trial], domain)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from meadows import simplify
 from meadows.axioms import Equation, check_equation, random_value
 from meadows.exact import Session
 from meadows.simplify import (
@@ -19,7 +20,10 @@ from meadows.simplify import (
     value_to_term,
 )
 from meadows.terms import (
+    Add,
     EvalError,
+    Inv,
+    Var,
     _children,
     _rebuild,
     _replace,
@@ -227,6 +231,43 @@ class TestRewriteSimplify:
         # just as the restarting loop does.
         term = parse(src)
         assert rewrite_simplify(term) == restarting_rewrite(term, 1000)
+
+    def test_bound_subterms_are_not_normalised_again(self, monkeypatch):
+        # inv(inv(x)) -> x binds the whole sum below it, which is normal
+        # already: the layers must cost the same whatever the sum's size.
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return _match(*args)
+
+        monkeypatch.setattr(simplify, "_match", counting)
+
+        def matches(term, layers, normal_form):
+            nonlocal calls
+            calls = 0
+            result = rewrite_simplify(term)
+            assert result.term is normal_form and result.steps == layers
+            return calls
+
+        def balanced(lo, hi):
+            if hi - lo == 1:
+                return Var(f"x{lo}")
+            mid = (lo + hi) // 2
+            return Add(balanced(lo, mid), balanced(mid, hi))
+
+        def layered(t, layers):
+            for _ in range(layers):
+                t = Inv(Inv(t))
+            return t
+
+        extra = {}
+        for leaves in (16, 1024):
+            s = balanced(0, leaves)
+            alone = matches(s, 0, s)
+            extra[leaves] = [matches(layered(s, k), k, s) - alone for k in (1, 10, 40)]
+        assert extra[16] == extra[1024]
 
     def test_preserves_semantics_on_random_terms(self):
         rng = random.Random(19)
