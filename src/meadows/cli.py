@@ -41,8 +41,8 @@ _SIGNATURES = {"m": SIGMA_M, "ms": SIGMA_MS, "mss": SIGMA_MSS}
 
 # argparse reads an argument that starts with "-" as an option unless it
 # matches its parser's negative-number pattern.  The subcommands use this one
-# instead, so a term such as "-sqrt(2)" is an argument while "--bogus" is
-# still an unknown option (and "-h" still asks for help).
+# instead, and have no short options (help is only "--help"), so a term such
+# as "-sqrt(2)" or "-h" is an argument while "--bogus" is an unknown option.
 _TERM_OR_NUMBER = re.compile(r"-[^-]")
 
 
@@ -184,8 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text, description=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text, add_help=False)
         p._negative_number_matcher = _TERM_OR_NUMBER
+        p.add_argument("--help", action="help", help="show this help message and exit")
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.set_defaults(fn=fn)
         return p
@@ -259,9 +260,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (EvalError, UnsupportedSymbolError, NotPrimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: term nests too deeply", file=sys.stderr)
         return 2
 
 

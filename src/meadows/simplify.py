@@ -135,33 +135,39 @@ def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
         raise ValueError("max_steps must be nonnegative")
     trace: list[tuple[str, tuple[int, ...]]] = []
     truncated = False
-
-    def normalize(t: Term, path: tuple[int, ...], normal: dict[int, Term]) -> Term:
-        # ``normal`` holds, by id, subterms known to be normal; holding them
-        # keeps each id bound to its term.
-        nonlocal truncated
-        while not truncated and id(t) not in normal:
-            kids = _children(t)
-            # A loop, not a comprehension, which before Python 3.12 takes a
-            # frame of its own and would halve the nesting depth reachable.
-            new = []
-            for i, c in enumerate(kids):
-                new.append(normalize(c, path + (i,), normal))
+    # One frame per node being normalised: [term, normal, children, normal
+    # forms of its children so far].  ``normal`` holds, by id, subterms known
+    # to be normal; holding them keeps each id bound to its term.  The
+    # children are None until the frame's term is due for them.  A frame's
+    # path is the number of finished children of each frame below it.
+    frames: list[list] = [[term, {}, None, None]]
+    while True:
+        frame = frames[-1]
+        t, normal, kids, new = frame
+        if kids is None:
+            if not truncated and id(t) not in normal:
+                frame[2], frame[3] = _children(t), []
+                continue
+        elif len(new) < len(kids):
+            frames.append([kids[len(new)], normal, None, None])
+            continue
+        else:
             if any(a is not b for a, b in zip(new, kids)):
                 t = _rebuild(t, new)
             for rule in REWRITE_RULES:
                 bindings: dict[Var, Term] = {}
                 if _match(rule.pattern, t, bindings):
+                    truncated = len(trace) == max_steps
                     break
             else:
-                break
-            truncated = len(trace) == max_steps
-            if truncated:
-                break
-            trace.append((rule.name, path))
-            t = _replace(rule.replacement, bindings.get)
-            normal = {id(b): b for b in bindings.values()}
-        return t
-
-    result = normalize(term, (), {})
-    return SimplifyResult(result, len(trace), truncated, tuple(trace))
+                rule = None
+            if rule is not None and not truncated:
+                trace.append((rule.name, tuple(len(f[3]) for f in frames[:-1])))
+                normal = {id(b): b for b in bindings.values()}
+                frames[-1] = [_replace(rule.replacement, bindings.get), normal, None, None]
+                continue
+        # The frame's term is normal: it becomes its parent's next child.
+        frames.pop()
+        if not frames:
+            return SimplifyResult(t, len(trace), truncated, tuple(trace))
+        frames[-1][3].append(t)

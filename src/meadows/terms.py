@@ -22,17 +22,21 @@ stored as exact nonnegative rational constants; a leading minus parses as
 Rendering is the inverse of parsing — ``parse(render(t)) == t`` for every
 term — with minimal parentheses.  Division is *never* rendered with ``/``
 (which would collide with rational literals); quotients print as
-``... * inv(...)``.
+``... * inv(...)``.  Parsing, printing, ``==``, hashing, substitution,
+evaluation and law compilation run as loops over explicit stacks, so their
+work grows with a term's size and their frames do not grow with its depth:
+explicit caps such as :data:`MAX_EXPONENT` are the only limits.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .approx import _CHUNK_BASE, _decimal, _parse_decimal
 from .finite import PrimeField
@@ -53,9 +57,22 @@ __all__ = [
 
 
 class Term:
-    """Base class for all term nodes. Nodes are immutable and hashable."""
+    """Base class for all term nodes. Nodes are immutable, with structural ``==``
+    and hash; the leaves keep those that ``dataclass`` writes for them."""
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
+        # Each node's arity follows from its constructor, so two preorders
+        # that agree node by node are those of one term.
+        return self is other or all(
+            map(operator.eq, map(_node_key, _subterms(self)), map(_node_key, _subterms(other)))
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(_node_key, _subterms(self))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,34 +93,34 @@ class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Mul(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Neg(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Inv(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Sign(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Sqrt(Term):
     arg: Term
 
@@ -143,7 +160,9 @@ _TOKEN_RE = re.compile(
 )
 _IDENT_RE = re.compile(_IDENT)
 
-_RESERVED = {"s", "sqrt", "inv"}
+# The function symbols, by name; their names are not variables.
+_FUNCTIONS = {"s": Sign, "sqrt": Sqrt, "inv": Inv}
+_NAMES = {symbol: name for name, symbol in _FUNCTIONS.items()}
 
 #: The largest |n| that ``t ^ n`` may have; the parser unrolls it into n nodes.
 MAX_EXPONENT = 10_000
@@ -167,104 +186,92 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return out
 
 
-class _Parser:
-    def __init__(self, src: str) -> None:
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
-        return tok
-
-    def expr(self) -> Term:
-        t = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            t = Add(t, rhs if op == "+" else Neg(rhs))
-        return t
-
-    def term(self) -> Term:
-        t = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            rhs = self.factor()
-            t = Mul(t, rhs if op == "*" else Inv(rhs))
-        return t
-
-    def factor(self) -> Term:
-        if self.peek()[0] == "-":
-            self.next()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Term:
-        base = self.atom()
-        if self.peek()[0] != "^":
-            return base
-        self.next()
-        neg = False
-        if self.peek()[0] == "-":
-            self.next()
-            neg = True
-        tok = self.peek()
-        if tok[0] != "int":
-            raise ParseError("exponent must be an integer literal", tok[2])
-        self.next()
-        n = _parse_decimal(tok[1])
-        if n > MAX_EXPONENT:
-            raise ParseError(f"exponent is over the cap of {MAX_EXPONENT}", tok[2])
-        if n == 0:
-            return Inv(ONE) if neg else ONE  # inv(1) keeps the sugar faithful
-        out = base
-        for _ in range(n - 1):
-            out = Mul(out, base)
-        return Inv(out) if neg else out
-
-    def atom(self) -> Term:
-        kind, text, pos = self.next()
-        if kind == "int":
-            # rational literal only when the next two tokens are "/" int
-            if self.peek()[0] == "/" and self.tokens[self.i + 1][0] == "int":
-                self.next()
-                den = _parse_decimal(self.next()[1])
-                if den == 0:
-                    return Mul(Const(Fraction(_parse_decimal(text))), Inv(ZERO))
-                return Const(Fraction(_parse_decimal(text), den))
-            return Const(Fraction(_parse_decimal(text)))
-        if kind == "ident":
-            if text in _RESERVED:
-                self.expect("(", f"'(' after {text!r}")
-                inner = self.expr()
-                self.expect(")", "')'")
-                return {"s": Sign, "sqrt": Sqrt, "inv": Inv}[text](inner)
-            return Var(text)
-        if kind == "hole":
-            return HOLE
-        if kind == "(":
-            inner = self.expr()
-            self.expect(")", "')'")
-            return inner
-        raise ParseError("expected a value", pos)
+# How tightly each operator that waits on the parser's stack binds ("neg" is
+# the prefix minus), and what the infix ones build.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
+_INFIX = {
+    "+": Add,
+    "-": lambda left, right: Add(left, Neg(right)),
+    "*": Mul,
+    "/": lambda left, right: Mul(left, Inv(right)),
+}
 
 
 def parse(src: str) -> Term:
-    p = _Parser(src)
-    t = p.expr()
-    kind, _, pos = p.peek()
-    if kind != "eof":
-        raise ParseError("unexpected trailing input", pos)
-    return t
+    """The term ``src`` denotes, by one operator-precedence loop.
+
+    ``pending`` holds the operators not yet applied to ``operands`` and the
+    open brackets (``"("`` or a function name), innermost last.  An operator
+    is applied once one that binds no tighter follows it, or its bracket
+    closes.  An error is raised at the first token that cannot continue.
+    """
+    tokens = _tokenize(src)
+    operands: list[Term] = []
+    pending: list[str] = []
+    i = 0
+    while True:
+        # An operand: prefix minuses and open brackets, then an atom.
+        kind, text, pos = tokens[i]
+        i += 1
+        if kind == "-" or kind == "(":
+            pending.append("neg" if kind == "-" else "(")
+            continue
+        if kind == "ident" and text in _FUNCTIONS:
+            if tokens[i][0] != "(":
+                raise ParseError(f"expected '(' after {text!r}", tokens[i][2])
+            pending.append(text)
+            i += 1
+            continue
+        if kind == "int":
+            atom = Const(Fraction(_parse_decimal(text)))
+            # a rational literal only when the next two tokens are "/" int
+            if tokens[i][0] == "/" and tokens[i + 1][0] == "int":
+                den = _parse_decimal(tokens[i + 1][1])
+                i += 2
+                atom = Mul(atom, Inv(ZERO)) if den == 0 else Const(atom.value / den)
+        elif kind == "ident":
+            atom = Var(text)
+        elif kind == "hole":
+            atom = HOLE
+        else:
+            raise ParseError("expected a value", pos)
+        operands.append(atom)
+        # After an atom: at most one power, then an infix operator, which
+        # asks for the next operand, or a ")", which completes another atom.
+        while True:
+            kind, text, pos = tokens[i]
+            i += 1
+            if kind == "^":
+                negative = tokens[i][0] == "-"
+                kind, text, pos = tokens[i + negative]
+                if kind != "int":
+                    raise ParseError("exponent must be an integer literal", pos)
+                n = _parse_decimal(text)
+                if n > MAX_EXPONENT:
+                    raise ParseError(f"exponent is over the cap of {MAX_EXPONENT}", pos)
+                base = operands[-1]
+                out = base if n else ONE  # inv(1) for ^-0 keeps the sugar faithful
+                for _ in range(n - 1):
+                    out = Mul(out, base)
+                operands[-1] = Inv(out) if negative else out
+                kind, text, pos = tokens[i + negative + 1]
+                i += negative + 2
+            binding = _BINDING.get(kind)
+            while pending and _BINDING.get(pending[-1], 0) >= (binding or 1):
+                op = pending.pop()
+                right = operands.pop()
+                operands.append(Neg(right) if op == "neg" else _INFIX[op](operands.pop(), right))
+            if binding is not None:
+                pending.append(kind)
+                break
+            if kind == ")" and pending:
+                op = pending.pop()
+                if op != "(":
+                    operands[-1] = _FUNCTIONS[op](operands[-1])
+            elif kind == "eof" and not pending:
+                return operands[0]
+            else:
+                raise ParseError("expected ')'" if pending else "unexpected trailing input", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -273,38 +280,54 @@ def parse(src: str) -> Term:
 
 
 def render(t: Term) -> str:
-    """Minimal-parentheses concrete syntax with ``parse(render(t)) == t``."""
-    return _render(t, 1)
+    """Minimal-parentheses concrete syntax with ``parse(render(t)) == t``.
 
-
-def _render(t: Term, min_prec: int) -> str:
-    if isinstance(t, Add):
-        if isinstance(t.right, Neg):
-            body = f"{_render(t.left, 1)} - {_render(t.right.arg, 2)}"
-        else:
-            body = f"{_render(t.left, 1)} + {_render(t.right, 2)}"
-        prec = 1
-    elif isinstance(t, Mul):
-        body = f"{_render(t.left, 2)} * {_render(t.right, 3)}"
-        prec = 2
-    elif isinstance(t, Neg):
-        body = f"-{_render(t.arg, 3)}"
-        prec = 3
-    elif isinstance(t, Const):
-        body, prec = _literal(t.value.numerator, t.value.denominator), 4
-    elif isinstance(t, Var):
-        body, prec = t.name, 4
-    elif isinstance(t, Inv):
-        body, prec = f"inv({_render(t.arg, 1)})", 4
-    elif isinstance(t, Sign):
-        body, prec = f"s({_render(t.arg, 1)})", 4
-    elif isinstance(t, Sqrt):
-        body, prec = f"sqrt({_render(t.arg, 1)})", 4
-    elif isinstance(t, Hole):
-        body, prec = "[]", 4
-    else:  # pragma: no cover
-        raise TypeError(f"not a term: {t!r}")
-    return f"({body})" if prec < min_prec else body
+    ``pending`` holds what is still to write, last first: closing brackets,
+    and ``(text, term, min_prec)`` for a term to write after ``text``, in
+    parentheses if it binds less tightly than ``min_prec``.  A term's
+    leftmost descendants are written at once.
+    """
+    out: list[str] = []
+    pending: list = [("", t, 1)]
+    while pending:
+        piece = pending.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        text, t, min_prec = piece
+        out.append(text)
+        while True:  # type() rather than isinstance(): this loop is hot
+            kind = type(t)
+            if kind is Add or kind is Mul:
+                prec = 1 if kind is Add else 2
+                if prec < min_prec:
+                    out.append("(")
+                    pending.append(")")
+                if kind is Mul:
+                    pending.append((" * ", t.right, 3))
+                elif type(t.right) is Neg:
+                    pending.append((" - ", t.right.arg, 2))
+                else:
+                    pending.append((" + ", t.right, 2))
+                t, min_prec = t.left, prec
+            elif kind is Neg:
+                out.append("-")
+                t, min_prec = t.arg, 3
+            elif kind in _NAMES:
+                out.append(_NAMES[kind] + "(")
+                pending.append(")")
+                t, min_prec = t.arg, 1
+            else:
+                break
+        if kind is Const:
+            out.append(_literal(t.value.numerator, t.value.denominator))
+        elif kind is Var:
+            out.append(t.name)
+        elif kind is Hole:
+            out.append("[]")
+        else:  # pragma: no cover
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)
 
 
 def _literal(num: int, den: int) -> str:
@@ -317,6 +340,10 @@ def _literal(num: int, den: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+_BINARY_NODES = frozenset({Add, Mul})
+_UNARY_NODES = frozenset({Neg, Inv, Sign, Sqrt})
+
+
 def _children(t: Term) -> tuple[Term, ...]:
     if isinstance(t, (Add, Mul)):
         return (t.left, t.right)
@@ -326,11 +353,7 @@ def _children(t: Term) -> tuple[Term, ...]:
 
 
 def _rebuild(t: Term, children: Sequence[Term]) -> Term:
-    if isinstance(t, (Add, Mul)):
-        return type(t)(children[0], children[1])
-    if isinstance(t, (Neg, Inv, Sign, Sqrt)):
-        return type(t)(children[0])
-    return t
+    return type(t)(*children) if children else t
 
 
 def _subterms(t: Term) -> Iterator[Term]:
@@ -342,18 +365,52 @@ def _subterms(t: Term) -> Iterator[Term]:
         stack += _children(t)[::-1]
 
 
+def _fold(t: Term, leave: Callable[..., Any], enter: Optional[Callable] = None) -> Any:
+    """``t`` folded bottom-up with ``leave``, without recursion.
+
+    The nodes are entered in preorder and left in post-order, children left
+    to right.  Entering a node calls ``enter(node)``, if given; a result
+    other than None becomes the node's, and its subterms are skipped.
+    Otherwise leaving it computes ``leave(node, *results of its children)``.
+    """
+    results: list = []
+    stack: list = [t]  # nodes to enter, and 1-tuples of nodes to leave
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:
+            (node,) = node
+            if type(node) in _BINARY_NODES:
+                right = results.pop()
+                results[-1] = leave(node, results[-1], right)
+            else:
+                results[-1] = leave(node, results[-1])
+        elif enter is not None and (result := enter(node)) is not None:
+            results.append(result)
+        elif kind in _BINARY_NODES:
+            stack += ((node,), node.right, node.left)
+        elif kind in _UNARY_NODES:
+            stack += ((node,), node.arg)
+        else:
+            results.append(leave(node))
+    return results[0]
+
+
+def _node_key(t: Term) -> tuple:
+    """A node's constructor, and its value or name if it has one."""
+    if isinstance(t, Const):
+        return Const, t.value
+    if isinstance(t, Var):
+        return Var, t.name
+    return (type(t),)
+
+
 def _replace(t: Term, f: Callable[[Term], Optional[Term]]) -> Term:
     """``t`` with each node that ``f`` maps to a term replaced by that term.
 
     ``f`` sees the nodes in preorder, but not the subterms of a replaced one.
     """
-    new = f(t)
-    if new is not None:
-        return new
-    kids = _children(t)
-    if not kids:
-        return t
-    return _rebuild(t, [_replace(c, f) for c in kids])
+    return _fold(t, lambda node, *kids: _rebuild(node, kids), f)
 
 
 def free_vars(t: Term) -> frozenset[str]:
@@ -370,8 +427,7 @@ def term_size(t: Term) -> int:
 
 def substitute(t: Term, name: str, replacement: Term) -> Term:
     """Replace every free occurrence of the variable ``name``."""
-    var = Var(name)
-    return _replace(t, lambda n: replacement if n == var else None)
+    return _replace(t, lambda n: replacement if isinstance(n, Var) and n.name == name else None)
 
 
 def fill(context: Term, plug: Term) -> Term:
@@ -400,30 +456,37 @@ def _unevaluable(t: Term) -> ValueError:
     return UnsupportedSymbolError(f"{sym!r} has no finite-field interpretation")
 
 
+def _variable(t: Var, valuation: Mapping) -> Any:
+    try:
+        return valuation[t.name]
+    except KeyError:
+        raise EvalError(f"unbound variable {t.name!r}") from None
+
+
+# Each constructor's value from its arguments' values, by model kind.  Over a
+# field, ``inv`` is the field's, and ``s`` and ``sqrt`` have none: they raise.
+_FIELD_OPS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg}
+_EXACT_OPS = {
+    **_FIELD_OPS,
+    Inv: operator.methodcaller("inv"),
+    Sign: lambda a: a.session.rational(a.sign()),
+    Sqrt: operator.methodcaller("ssqrt"),
+}
+
+
 def eval_exact(t: Term, valuation: Mapping[str, Real], session: Session) -> Real:
     """Evaluate in the exact kernel; homomorphic in every constructor."""
-    if isinstance(t, Const):
-        return session.rational(t.value)
-    if isinstance(t, Var):
-        try:
-            return session.value(valuation[t.name])
-        except KeyError:
-            raise EvalError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, Add):
-        return eval_exact(t.left, valuation, session) + eval_exact(t.right, valuation, session)
-    if isinstance(t, Mul):
-        return eval_exact(t.left, valuation, session) * eval_exact(t.right, valuation, session)
-    if isinstance(t, Neg):
-        return -eval_exact(t.arg, valuation, session)
-    if isinstance(t, Inv):
-        return eval_exact(t.arg, valuation, session).inv()
-    if isinstance(t, Sign):
-        return session.rational(eval_exact(t.arg, valuation, session).sign())
-    if isinstance(t, Sqrt):
-        return eval_exact(t.arg, valuation, session).ssqrt()
-    if isinstance(t, Hole):
+
+    def leave(t: Term, *args: Real) -> Real:
+        if args:
+            return _EXACT_OPS[type(t)](*args)
+        if isinstance(t, Const):
+            return session.rational(t.value)
+        if isinstance(t, Var):
+            return session.value(_variable(t, valuation))
         raise _unevaluable(t)
-    raise TypeError(f"not a term: {t!r}")  # pragma: no cover
+
+    return _fold(t, leave)
 
 
 def eval_mod_p(t: Term, valuation: Mapping[str, int], field) -> int:
@@ -434,32 +497,26 @@ def eval_mod_p(t: Term, valuation: Mapping[str, int], field) -> int:
     constant ``p/q`` evaluates to ``p * inv(q)``, which is 0 when ``q``
     vanishes modulo the characteristic.  Sums, products and negations are
     taken in the integers and reduced once, at the end (``inv`` reduces its
-    own argument); reduction mod p is a ring map, so this is exact.
+    own argument); reduction mod p is a ring map, so this is exact.  An
+    ``s``, ``sqrt`` or hole raises when it is reached, before its argument.
     """
     if isinstance(field, int):
         field = PrimeField(field)
-    return _eval_mod(t, valuation, field) % field.p
 
+    def enter(t: Term) -> None:
+        if isinstance(t, (Sign, Sqrt, Hole)):
+            raise _unevaluable(t)
 
-def _eval_mod(t: Term, valuation: Mapping[str, int], field) -> int:
-    if isinstance(t, Const):
-        return t.value.numerator * field.inv(t.value.denominator)
-    if isinstance(t, Var):
-        try:
-            return valuation[t.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, Add):
-        return _eval_mod(t.left, valuation, field) + _eval_mod(t.right, valuation, field)
-    if isinstance(t, Mul):
-        return _eval_mod(t.left, valuation, field) * _eval_mod(t.right, valuation, field)
-    if isinstance(t, Neg):
-        return -_eval_mod(t.arg, valuation, field)
-    if isinstance(t, Inv):
-        return field.inv(_eval_mod(t.arg, valuation, field))
-    if isinstance(t, (Sign, Sqrt, Hole)):
-        raise _unevaluable(t)
-    raise TypeError(f"not a term: {t!r}")  # pragma: no cover
+    ops = {**_FIELD_OPS, Inv: field.inv}
+
+    def leave(t: Term, *args: int) -> int:
+        if args:
+            return ops[type(t)](*args)
+        if isinstance(t, Const):
+            return t.value.numerator * field.inv(t.value.denominator)
+        return _variable(t, valuation)
+
+    return _fold(t, leave, enter) % field.p
 
 
 # The source of each constructor's value from its arguments' slots, by model
@@ -498,18 +555,28 @@ def _compile(
     chunk is written in hex, which compiles under any int-to-str digit limit.
     """
     lines: list[str] = []
+    # Value numbering: each node's slot by its constructor and its
+    # children's slots (a leaf's by its value or name), so no term is hashed.
+    slots: dict[tuple, str] = {}
     if exact:
-        slots: dict[Term, str] = {}
         loop = ["for v, session in trials:"]
         lines += ["rational = session.rational", "value = session.value"]
     else:
-        slots = {Var(name): f"v{i}" for i, name in enumerate(variables)}
+        slots = {(Var, name): f"v{i}" for i, name in enumerate(variables)}
         unpack = ", ".join(slots.values())
         loop = ["inv = domain.inv", "p = domain.p", f"for [{unpack}] in trials:"]
     templates = _EXACT_SOURCE if exact else _FIELD_SOURCE
 
-    def emit(t: Term) -> str:
-        name = slots.get(t)
+    def enter(t: Term) -> Optional[str]:
+        if isinstance(t, (Const, Var)) or type(t) in templates:
+            return None
+        error = _unevaluable(t)
+        lines.append(f"raise {type(error).__name__}({str(error)!r})")
+        return "None"  # every line after the raise is unreachable
+
+    def leave(t: Term, *kids: str) -> str:
+        key = _node_key(t) + kids
+        name = slots.get(key)
         if name is not None:
             return name
         if isinstance(t, Const):
@@ -519,29 +586,25 @@ def _compile(
             if exact:
                 expr = f"rational({n}, {d})"
             elif d == 1:  # an int literal needs no slot
-                slots[t] = str(n)
-                return slots[t]
+                slots[key] = str(n)
+                return slots[key]
             else:
                 expr = f"{n} * inv({d})"
         elif isinstance(t, Var):
             if not exact:  # a field trial binds only ``variables``
                 raise KeyError(t.name)
             expr = f"value(v[{t.name!r}])"
-        elif type(t) in templates:
-            expr = templates[type(t)].format(*map(emit, _children(t)))
         else:
-            error = _unevaluable(t)
-            lines.append(f"raise {type(error).__name__}({str(error)!r})")
-            return "None"  # every line after the raise is unreachable
-        name = slots[t] = f"t{len(slots)}"
+            expr = templates[type(t)].format(*kids)
+        name = slots[key] = f"t{len(slots)}"
         lines.append(f"{name} = {expr}")
         return name
 
     for left, right, kind in premises:
-        a, b = emit(left), emit(right)
+        a, b = _fold(left, leave, enter), _fold(right, leave, enter)
         same = f"{a} == {b}" if exact else f"({a} - {b}) % p == 0"
         lines.append(f"if {'not ' if kind == 'eq' else ''}{same}: skipped += 1; continue")
-    a, b = emit(lhs), emit(rhs)
+    a, b = _fold(lhs, leave, enter), _fold(rhs, leave, enter)
     if exact:
         lines.append(f"lhs, rhs = {a}, {b}")
         valuation = "v"
@@ -596,7 +659,7 @@ def gen_random_term(
     if unknown:
         raise ValueError(f"unknown constructors: {sorted(unknown)}")
     for name in variables:
-        if not _IDENT_RE.fullmatch(name) or name in _RESERVED:
+        if not _IDENT_RE.fullmatch(name) or name in _FUNCTIONS:
             raise ValueError(f"{name!r} cannot be a variable name in the term syntax")
     r = rng if rng is not None else random.Random(seed)
     return _gen(r, max_size, signature, tuple(variables))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -340,12 +341,41 @@ class TestErrors:
             "more than the cap of 100\n"
         )
 
+    def test_a_term_may_start_with_h(self, capsys):
+        # Subcommands have no short help option, so "-h" is a term.
+        assert run(capsys, "equal", "-1", "-h") == (2, "", "error: unbound variable 'h'\n")
+        assert run(capsys, "simplify", "-h*x") == (0, "-h * x\n", "")
+
     @pytest.mark.parametrize(
-        "argv",
-        [("equal", "2^3000", "1"), ("eval", "2^3000"), ("simplify", "x^2000")],
+        "argv, usage",
+        [(("-h",), "usage: meadows [-h]"), (("eval", "--help"), "usage: meadows eval [--help]")],
+        ids=["meadows", "subcommand"],
     )
-    def test_deep_nesting_is_bad_input(self, capsys, argv):
+    def test_help(self, capsys, argv, usage):
         code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == "error: term nests too deeply\n"
+        assert (code, err) == (0, "")
+        assert out.startswith(usage)
+
+
+def _evaluated_power_of_two(n):
+    """What ``eval 2^n`` prints, written without the int-to-str digit limit."""
+    with localcontext() as context:
+        context.prec = n
+        digits = str(Decimal(2) ** n)
+    return f"canonical: {digits}\ndecimal:   {digits}.0000000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, shown",
+    [
+        (("equal", "2^3000", "1"), 1, "different\n"),
+        (("eval", "2^3000"), 0, _evaluated_power_of_two(3000)),
+        (("simplify", "x^2000"), 0, " * ".join(["x"] * 2000) + "\n"),
+        (("eval", "2^10000"), 0, _evaluated_power_of_two(10000)),
+        (("simplify", "x^10000"), 0, " * ".join(["x"] * 10000) + "\n"),
+    ],
+    ids=["equal-2^3000", "eval-2^3000", "simplify-x^2000", "eval-2^10000", "simplify-x^10000"],
+)
+def test_deep_nesting_is_answered(capsys, argv, code, shown):
+    # ``t^n`` unrolls into n - 1 nested products, up to the exponent cap.
+    assert run(capsys, *argv) == (code, shown, "")
