@@ -24,6 +24,22 @@ Integer vectors are closed under the kernel's products because the radicands
 are integer vectors, so the kernel never touches a fraction: an inverse or a
 root comes back as a ``(numerators, denominator)`` pair.
 
+Towers come in two kinds.  In a *multiquadratic* tower every radicand is a
+rational ``f_k`` (the vector ``(f_k, 0, ..., 0)``), and the session keeps the
+table ``P[S]``, the product of ``f_k`` over the levels ``k`` in the mask
+``S``.  Basis products then follow one rule, ``e_i * e_j == P[i & j] *
+e_(i ^ j)``, so a product is one loop over the nonzero coordinates of both
+operands, and every norm, inverse, sign and root search runs through it.
+Because each ``f_k`` is a non-square over the levels below it, their square
+classes are independent, and a rational ``q`` has its root in the tower
+exactly when ``q * P[S]`` is a rational square for some mask ``S``, which is
+then unique (Kummer theory; Besicovitch 1940).  So the root of a rational is
+decided by one scan of the table instead of a search of the tower.  Once a
+*nested* radicand is adjoined, the table is dropped for good, and products
+and root searches recurse over the levels: such a tower can hold the root of
+a rational it never adjoined, e.g. ``sqrt(5 + 2*sqrt(6)) == sqrt(2) +
+sqrt(3)`` puts ``sqrt(2)`` in the tower over ``sqrt(6)``.
+
 Each session also memoizes the positive root of every argument of ``ssqrt``
 whose root is irrational, since finding such a root again means a fresh
 search down the whole tower.  The tower only grows and the positive root is
@@ -41,7 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import add, sub
 from typing import Optional, Union
 
@@ -72,10 +88,11 @@ class TowerInvariantError(AssertionError):
 #
 # Vectors always have length 2**k for the level k they live at; the level is
 # recovered from the length, so no explicit depth bookkeeping is threaded
-# through.  ``rads`` is the session's radicand tuple (radicand for level k+1
-# is ``rads[k]``, an int vector of length 2**k, stored untrimmed).  Inverses
-# and roots are returned as ``(numerators, denominator)`` with a positive
-# denominator.
+# through.  ``tower`` is the session: ``tower._radicands`` holds the radicand
+# for level k+1 at index k (an int vector of length 2**k, stored untrimmed),
+# and ``tower._products`` is its table of radicand products while the tower is
+# multiquadratic, else None.  Inverses and roots are returned as
+# ``(numerators, denominator)`` with a positive denominator.
 # ---------------------------------------------------------------------------
 
 
@@ -99,15 +116,29 @@ def _reduced(num: tuple, den: int) -> tuple[tuple, int]:
     return tuple(x // g for x in num), den // g
 
 
-def _radicand_for(rads: tuple, n: int) -> tuple:
-    # vector length n == 2**k lives at level k; its top split uses rads[k-1]
-    return rads[n.bit_length() - 2]
+def _radicand_for(tower: Session, n: int) -> tuple:
+    # vector length n == 2**k lives at level k; its top split uses level k
+    return tower._radicands[n.bit_length() - 2]
 
 
-def _vmul(rads: tuple, a: tuple, b: tuple) -> tuple:
+def _vmul(tower: Session, a: tuple, b: tuple) -> tuple:
     n = len(a)
-    if n == 1:
-        return (a[0] * b[0],)
+    if n <= 2:  # the level-1 radicand is always a rational
+        if n == 1:
+            return (a[0] * b[0],)
+        (u1, v1), (u2, v2) = a, b
+        return (u1 * u2 + v1 * v2 * tower._radicands[0][0], u1 * v2 + v1 * u2)
+    products = tower._products
+    if products is not None:
+        # e_i * e_j == P[i & j] * e_(i ^ j): a root in both squares to its
+        # radicand, a root in one stays
+        out = [0] * n
+        bs = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in bs:
+                    out[i ^ j] += x * y * products[i & j]
+        return tuple(out)
     if not any(a) or not any(b):
         return _zeros(n)
     h = n // 2
@@ -115,24 +146,24 @@ def _vmul(rads: tuple, a: tuple, b: tuple) -> tuple:
     u2, v2 = b[:h], b[h:]
     z1, z2 = not any(v1), not any(v2)
     if z1 and z2:
-        return _vmul(rads, u1, u2) + _zeros(h)
+        return _vmul(tower, u1, u2) + _zeros(h)
     if z2:  # b has no top component
-        return _vmul(rads, u1, u2) + _vmul(rads, v1, u2)
+        return _vmul(tower, u1, u2) + _vmul(tower, v1, u2)
     if z1:
-        return _vmul(rads, u1, u2) + _vmul(rads, u1, v2)
-    r = _radicand_for(rads, n)
-    lo = map(add, _vmul(rads, u1, u2), _vmul(rads, _vmul(rads, v1, v2), r))
-    hi = map(add, _vmul(rads, u1, v2), _vmul(rads, v1, u2))
+        return _vmul(tower, u1, u2) + _vmul(tower, u1, v2)
+    r = _radicand_for(tower, n)
+    lo = map(add, _vmul(tower, u1, u2), _vmul(tower, _vmul(tower, v1, v2), r))
+    hi = map(add, _vmul(tower, u1, v2), _vmul(tower, v1, u2))
     return (*lo, *hi)
 
 
-def _vnorm(rads: tuple, u: tuple, v: tuple) -> tuple:
+def _vnorm(tower: Session, u: tuple, v: tuple) -> tuple:
     """``u*u - v*v*r``: the norm of ``u + v*sqrt(r)`` one level down."""
-    r = _radicand_for(rads, 2 * len(u))
-    return tuple(map(sub, _vmul(rads, u, u), _vmul(rads, _vmul(rads, v, v), r)))
+    r = _radicand_for(tower, 2 * len(u))
+    return tuple(map(sub, _vmul(tower, u, u), _vmul(tower, _vmul(tower, v, v), r)))
 
 
-def _vinv(rads: tuple, a: tuple) -> tuple[tuple, int]:
+def _vinv(tower: Session, a: tuple) -> tuple[tuple, int]:
     """Totalized inverse as ``(numerators, denominator)``: zero maps to zero."""
     n = len(a)
     if n == 1:
@@ -141,18 +172,18 @@ def _vinv(rads: tuple, a: tuple) -> tuple[tuple, int]:
     h = n // 2
     u, v = a[:h], a[h:]
     if not any(v):
-        num, den = _vinv(rads, u)
+        num, den = _vinv(tower, u)
         return num + _zeros(h), den
     # 1/(u + v*sqrt(r)) = (u - v*sqrt(r)) / (u^2 - v^2*r); the norm is
     # nonzero for nonzero input, else r would be a square one level down.
-    norm = _vnorm(rads, u, v)
+    norm = _vnorm(tower, u, v)
     if not any(norm):
         raise TowerInvariantError("conjugate norm vanished on a nonzero value")
-    num, den = _vinv(rads, norm)
-    return _reduced(_vmul(rads, u, num) + _vneg(_vmul(rads, v, num)), den)
+    num, den = _vinv(tower, norm)
+    return _reduced(_vmul(tower, u, num) + _vneg(_vmul(tower, v, num)), den)
 
 
-def _vsign(rads: tuple, a: tuple) -> SignValue:
+def _vsign(tower: Session, a: tuple) -> SignValue:
     n = len(a)
     if n == 1:
         c = a[0]
@@ -160,22 +191,22 @@ def _vsign(rads: tuple, a: tuple) -> SignValue:
     h = n // 2
     u, v = a[:h], a[h:]
     if not any(v):
-        return _vsign(rads, u)
+        return _vsign(tower, u)
     if not any(u):
-        return _vsign(rads, v)  # sqrt(r) > 0, so v*sqrt(r) has v's sign
-    su = _vsign(rads, u)
-    sv = _vsign(rads, v)
+        return _vsign(tower, v)  # sqrt(r) > 0, so v*sqrt(r) has v's sign
+    su = _vsign(tower, u)
+    sv = _vsign(tower, v)
     if su == sv:
         return su
     # Signs differ and both parts are nonzero: compare |u| against
     # |v|*sqrt(r) by comparing u^2 against v^2*r one level down.
-    st = _vsign(rads, _vnorm(rads, u, v))
+    st = _vsign(tower, _vnorm(tower, u, v))
     if st == 0:
         raise TowerInvariantError("u^2 == v^2 * r with opposite-sign parts")
     return su if st > 0 else sv
 
 
-def _vsqrt_in_tower(rads: tuple, y: tuple) -> Optional[tuple[tuple, int]]:
+def _vsqrt_in_tower(tower: Session, y: tuple) -> Optional[tuple[tuple, int]]:
     """A root ``w`` with ``w*w == y`` inside the existing tower, or None.
 
     ``y`` must be strictly positive.  The root comes back as
@@ -190,31 +221,31 @@ def _vsqrt_in_tower(rads: tuple, y: tuple) -> Optional[tuple[tuple, int]]:
         return ((w,), 1) if w * w == y[0] else None
     h = n // 2
     u, v = y[:h], y[h:]
-    r = _radicand_for(rads, n)
+    r = _radicand_for(tower, n)
     if not any(v):
-        w = _vsqrt_in_tower(rads, u)
+        w = _vsqrt_in_tower(tower, u)
         if w is not None:
             return w[0] + _zeros(h), w[1]
         # y == c^2 * r for some lower-tower c iff y*r == (c*r)^2 is a lower
         # square; then c == sqrt(y*r) / r.
-        w = _vsqrt_in_tower(rads, _vmul(rads, u, r))
+        w = _vsqrt_in_tower(tower, _vmul(tower, u, r))
         if w is None:
             return None
-        rn, rd = _vinv(rads, r)
-        return _reduced(_zeros(h) + _vmul(rads, w[0], rn), w[1] * rd)
+        rn, rd = _vinv(tower, r)
+        return _reduced(_zeros(h) + _vmul(tower, w[0], rn), w[1] * rd)
     # A root a + b*sqrt(r) with v == 2ab != 0 forces a, b != 0 and
     # (a^2 - b^2*r)^2 == u^2 - v^2*r, so u^2 - v^2*r must be a lower square.
-    m = _vnorm(rads, u, v)
-    sm = _vsign(rads, m)
+    m = _vnorm(tower, u, v)
+    sm = _vsign(tower, m)
     if sm == 0:
         raise TowerInvariantError("u^2 == v^2 * r while testing for a root")
     if sm < 0:
         return None
-    s = _vsqrt_in_tower(rads, m)
+    s = _vsqrt_in_tower(tower, m)
     if s is None:
         return None
     sn, sd = s
-    if _vsign(rads, sn) < 0:
+    if _vsign(tower, sn) < 0:
         sn = _vneg(sn)
     # One of (u+s)/2, (u-s)/2 equals a^2 (the other is b^2*r, never a lower
     # square since r is not).  With k == 2*sd, (u±s)/2 == p/k for the int
@@ -223,17 +254,17 @@ def _vsqrt_in_tower(rads: tuple, y: tuple) -> Optional[tuple[tuple, int]]:
     k = 2 * sd
     us = _vscale(u, sd)
     for p in (tuple(map(add, us, sn)), tuple(map(sub, us, sn))):
-        if not any(p) or _vsign(rads, p) < 0:
+        if not any(p) or _vsign(tower, p) < 0:
             continue
-        c = _vsqrt_in_tower(rads, _vscale(p, k))
+        c = _vsqrt_in_tower(tower, _vscale(p, k))
         if c is None or not any(c[0]):
             continue
         cn, cd = c[0], c[1] * k  # a == cn/cd
         # b == v/(2a) == v*cd*inv(cn)/2
-        inv_n, inv_d = _vinv(rads, cn)
+        inv_n, inv_d = _vinv(tower, cn)
         den = 2 * cd * inv_d
-        root = _vscale(cn, 2 * inv_d) + _vscale(_vmul(rads, v, inv_n), cd * cd)
-        if _vmul(rads, root, root) == _vscale(y, den * den):
+        root = _vscale(cn, 2 * inv_d) + _vscale(_vmul(tower, v, inv_n), cd * cd)
+        if _vmul(tower, root, root) == _vscale(y, den * den):
             return _reduced(root, den)
     return None
 
@@ -291,15 +322,20 @@ class Session:
     All values produced through one session share its tower, which is what
     makes equality decidable by coordinate comparison: every adjoined
     radicand is checked to be positive and not already a square, so the root
-    of equal radicands is reused instead of duplicated.
+    of equal radicands is reused instead of duplicated.  While every radicand
+    is a rational the session also keeps their products, one per set of
+    levels, which the kernel multiplies and finds rational roots by.
 
     Sessions are not thread-safe; confine each one to a single thread.
     """
 
-    __slots__ = ("_radicands", "_roots", "_radicals")
+    __slots__ = ("_radicands", "_products", "_roots", "_radicals")
 
     def __init__(self) -> None:
         self._radicands: tuple = ()
+        # mask S -> product of the radicands of the levels in S, while all of
+        # them are rational; None for good once a nested radicand is adjoined
+        self._products: Optional[tuple] = (1,)
         # positive radicand (num, den) -> its positive root (num, den)
         self._roots: dict[tuple, tuple] = {}
         # level -> (sort key, Sqrt term) of its root in canonical closed
@@ -352,17 +388,28 @@ class Session:
     def check_invariants(self) -> None:
         """Re-verify the tower and the root memo.
 
-        Every radicand must be positive and not a lower square, every
-        memoized root must be positive and square to its radicand, and every
-        memoized radical must render as it does with the memo cleared.
+        The product table must exist exactly when every radicand is
+        rational and hold their products, every radicand must be positive and
+        not a lower square, every memoized root must be positive and square
+        to its radicand, and every memoized radical must render as it does
+        with the memo cleared.
         """
         rads = self._radicands
         for k, rad in enumerate(rads, start=1):
             if len(rad) != 1 << (k - 1):
                 raise TowerInvariantError(f"level {k} radicand has wrong arity")
-            if _vsign(rads, rad) <= 0:
+        products = None
+        if not any(any(rad[1:]) for rad in rads):
+            levels = range(len(rads))
+            products = tuple(
+                prod(rads[k][0] for k in levels if mask >> k & 1) for mask in range(1 << len(rads))
+            )
+        if products != self._products:
+            raise TowerInvariantError("radicand product table is wrong")
+        for k, rad in enumerate(rads, start=1):
+            if _vsign(self, rad) <= 0:
                 raise TowerInvariantError(f"level {k} radicand is not positive")
-            if _vsqrt_in_tower(rads, rad) is not None:
+            if _vsqrt_in_tower(self, rad) is not None:
                 raise TowerInvariantError(f"level {k} radicand is a lower square")
         for radicand, root in self._roots.items():
             y, w = Real(self, *radicand), Real(self, *root)
@@ -380,6 +427,12 @@ class Session:
         if len(rad) != 1 << self.depth:
             raise TowerInvariantError("adjoined radicand has wrong arity")
         self._radicands += (rad,)
+        products = self._products
+        if products is not None:
+            if any(rad[1:]):
+                self._products = None
+            else:
+                self._products = products + tuple(p * rad[0] for p in products)
 
     def __repr__(self) -> str:
         return f"Session(depth={self.depth})"
@@ -515,7 +568,7 @@ class Real:
         if len(a) == 1 == len(b):
             return self._session.rational(a[0] * b[0], self._den * peer._den)
         n = max(len(a), len(b))
-        num = _vmul(self._session._radicands, self._lifted(n), peer._lifted(n))
+        num = _vmul(self._session, self._lifted(n), peer._lifted(n))
         return Real(self._session, num, self._den * peer._den)
 
     __rmul__ = __mul__
@@ -550,7 +603,7 @@ class Real:
         """Totalized multiplicative inverse: ``inv(0) == 0``."""
         if len(self._num) == 1:
             return self._session.rational(self._den, self._num[0])
-        num, den = _vinv(self._session._radicands, self._num)
+        num, den = _vinv(self._session, self._num)
         return Real(self._session, _vscale(num, self._den), den)
 
     # -- order and equality --------------------------------------------------
@@ -560,7 +613,7 @@ class Real:
         if len(self._num) == 1:
             c = self._num[0]
             return (c > 0) - (c < 0)
-        return _vsign(self._session._radicands, self._num)
+        return _vsign(self._session, self._num)
 
     def compare(self, other: Union[Real, Scalar]) -> SignValue:
         peer = self._peer(other)
@@ -619,15 +672,27 @@ class Real:
     def _root(self) -> Real:
         """The positive root of this positive value, adjoining one if needed."""
         session = self._session
-        rads = session._radicands
         half = 1 << session.depth
-        # sqrt(num/den) == sqrt(num*den) / den
-        w = _vsqrt_in_tower(rads, _vscale(self._lifted(half), self._den))
-        if w is not None:
-            num, den = w
-            if _vsign(rads, num) < 0:
-                num = _vneg(num)
-            return Real(session, num, den * self._den)
+        products = session._products
+        if products is not None and len(self._num) == 1:
+            # Kummer: sqrt(q) lies in a multiquadratic tower iff q * P[S] is
+            # a rational square for some mask S, and then for that S alone;
+            # sqrt(num/den) == sqrt(num*den*P[S]) / (den*P[S]) * e_S
+            nd = self._num[0] * self._den
+            for mask, p in enumerate(products):
+                t = nd * p
+                w = isqrt(t)
+                if w * w == t:
+                    num = _zeros(mask) + (w,) + _zeros(half - mask - 1)
+                    return Real(session, num, self._den * p)
+        else:
+            # sqrt(num/den) == sqrt(num*den) / den
+            w = _vsqrt_in_tower(session, _vscale(self._lifted(half), self._den))
+            if w is not None:
+                num, den = w
+                if _vsign(session, num) < 0:
+                    num = _vneg(num)
+                return Real(session, num, den * self._den)
         m, rad = _normalize_radicand(self._lifted(half), self._den)
         session._adjoin(rad)
         return Real(session, _zeros(half) + (m,) + _zeros(half - 1), self._den)

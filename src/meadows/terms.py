@@ -57,8 +57,9 @@ __all__ = [
 
 
 class Term:
-    """Base class for all term nodes. Nodes are immutable, with structural ``==``
-    and hash; the leaves keep those that ``dataclass`` writes for them."""
+    """Base class for all term nodes. Nodes are immutable, with structural ``==``,
+    hash and ``repr``, and pickle and copy as a flat post-order list; the
+    leaves keep the ``==``, hash and ``repr`` that ``dataclass`` writes for them."""
 
     __slots__ = ()
 
@@ -73,6 +74,30 @@ class Term:
 
     def __hash__(self) -> int:
         return hash(tuple(map(_node_key, _subterms(self))))
+
+    def __repr__(self) -> str:
+        # the text dataclass would write, from a stack of nodes and pieces
+        out = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            kind = type(t)
+            if kind is str:
+                out.append(t)
+            elif kind in _BINARY_NODES:
+                stack += (")", t.right, ", right=", t.left)
+                out.append(f"{kind.__qualname__}(left=")
+            elif kind in _UNARY_NODES:
+                stack += (")", t.arg)
+                out.append(f"{kind.__qualname__}(arg=")
+            else:
+                out.append(repr(t))
+        return "".join(out)
+
+    def __reduce__(self) -> tuple:
+        keys: list = []
+        _fold(self, lambda node, *_: keys.append(_node_key(node)))
+        return _from_postorder, (keys,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,34 +118,34 @@ class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Mul(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Neg(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Inv(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Sign(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Sqrt(Term):
     arg: Term
 
@@ -403,6 +428,20 @@ def _node_key(t: Term) -> tuple:
     if isinstance(t, Var):
         return Var, t.name
     return (type(t),)
+
+
+def _from_postorder(keys: Sequence[tuple]) -> Term:
+    """The term whose nodes have the ``_node_key`` values ``keys`` in post-order."""
+    stack: list = []
+    for kind, *data in keys:
+        if kind in _BINARY_NODES:
+            right = stack.pop()
+            stack[-1] = kind(stack[-1], right)
+        elif kind in _UNARY_NODES:
+            stack[-1] = kind(stack[-1])
+        else:
+            stack.append(kind(*data))
+    return stack[0]
 
 
 def _replace(t: Term, f: Callable[[Term], Optional[Term]]) -> Term:

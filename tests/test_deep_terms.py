@@ -5,6 +5,8 @@ level.  The chains below nest about 10 000 nodes deep, and the tests run at
 the default limit of 1000 frames.
 """
 
+import copy
+import pickle
 import sys
 from fractions import Fraction
 
@@ -98,3 +100,11 @@ def test_5000_nested_brackets(opening):
     assert eval_mod_p(term, {"x": 3}, 7) == 3
     result = rewrite_simplify(term, max_steps=layers)
     assert (result.term, result.steps) == (Var("x"), layers // 2)
+
+
+def test_a_deep_term_prints_pickles_and_copies():
+    term = parse("x^5000")  # ((x * x) * x) * ... nests 4999 products deep
+    x = "Var(name='x')"
+    assert repr(term) == "Mul(left=" * 4999 + x + f", right={x})" * 4999
+    assert pickle.loads(pickle.dumps(term)) == term
+    assert copy.deepcopy(term) == term

@@ -299,6 +299,26 @@ class TestSessionDiscipline:
         with pytest.raises(TowerInvariantError):
             s.check_invariants()
 
+    def test_check_invariants_catches_a_bad_product_table(self, s):
+        for p in (2, 3, 5):
+            s.rational(p).ssqrt()
+        assert s._products == (1, 2, 3, 6, 5, 10, 15, 30)
+        s.check_invariants()
+        products = s._products
+        s._products = products[:6] + (14,) + products[7:]
+        with pytest.raises(TowerInvariantError, match="product table"):
+            s.check_invariants()
+        s._products = None  # a multiquadratic tower must keep its table
+        with pytest.raises(TowerInvariantError, match="product table"):
+            s.check_invariants()
+        s._products = products
+        (1 + s.rational(2).ssqrt()).ssqrt()  # a nested radicand drops the table
+        assert s._products is None
+        s.check_invariants()
+        s._products = products + products
+        with pytest.raises(TowerInvariantError, match="product table"):
+            s.check_invariants()
+
     def test_rational_roots_are_not_memoized(self, s):
         s.rational(2).ssqrt()
         s.rational(3).ssqrt()

@@ -4,16 +4,28 @@ The reference below is the earlier kernel, which stored every coordinate as a
 ``Fraction``.  It is kept here only as an oracle.  Random towers of integer
 radicands (depth up to 5) are checked to be valid with the reference, and
 then the integer kernel's products, inverses, signs and in-tower roots must
-give the same coordinates (after conversion to ``Fraction``) and signs.
+give the same coordinates (after conversion to ``Fraction``) and signs.  The
+towers are drawn half with nested radicands and half multiquadratic (every
+radicand a square-free product of small primes), so both of the kernel's
+product paths are covered.  The roots of rationals that a multiquadratic
+session finds by its product table are checked against the tower search.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from meadows.exact import Real, Session, _vinv, _vmul, _vsign, _vsqrt_in_tower
+from meadows.exact import (
+    Real,
+    Session,
+    _normalize_radicand,
+    _vinv,
+    _vmul,
+    _vsign,
+    _vsqrt_in_tower,
+)
 
 # ---------------------------------------------------------------------------
 # Reference kernel over Fraction vectors.
@@ -189,6 +201,13 @@ def _valid_radicand(frads, cand):
 _FALLBACK_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+def _first_valid(rads, options):
+    frads = tuple(_fracs(r) for r in rads)
+    n = 1 << len(rads)
+    options += [(p,) + (0,) * (n - 1) for p in _FALLBACK_PRIMES]
+    return next(c for c in options if _valid_radicand(frads, c))
+
+
 @st.composite
 def towers(draw, max_depth=5):
     """Integer radicand tuples whose validity the reference kernel confirms."""
@@ -199,10 +218,27 @@ def towers(draw, max_depth=5):
         cand = (draw(st.integers(1, 40)),) + tuple(
             draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
         )
-        frads = tuple(_fracs(r) for r in rads)
-        options = [cand, tuple(-c for c in cand)]
-        options += [(p,) + (0,) * (n - 1) for p in _FALLBACK_PRIMES]
-        rads.append(next(c for c in options if _valid_radicand(frads, c)))
+        rads.append(_first_valid(rads, [cand, tuple(-c for c in cand)]))
+    return tuple(rads)
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def square_free():
+    """Products of distinct small primes, 1 included."""
+    return st.sets(st.sampled_from(_SMALL_PRIMES)).map(prod)
+
+
+@st.composite
+def multiquadratic_towers(draw, max_depth=5):
+    """Towers whose radicands are all rational: square-free products of small
+    primes whose square classes the reference confirms independent."""
+    depth = draw(st.integers(0, max_depth))
+    rads: list = []
+    for k in range(depth):
+        f = draw(square_free())
+        rads.append(_first_valid(rads, [(f,) + (0,) * ((1 << k) - 1)]))
     return tuple(rads)
 
 
@@ -213,7 +249,7 @@ def vectors(depth):
 
 @st.composite
 def tower_and_vectors(draw, count):
-    rads = draw(towers())
+    rads = draw(st.one_of(towers(), multiquadratic_towers()))
     return (rads,) + tuple(draw(vectors(len(rads))) for _ in range(count))
 
 
@@ -230,7 +266,7 @@ _SETTINGS = settings(max_examples=40, deadline=None)
 def test_mul_matches_reference(case):
     rads, a, b = case
     frads = tuple(_fracs(r) for r in rads)
-    assert _fracs(_vmul(rads, a, b)) == ref_mul(frads, _fracs(a), _fracs(b))
+    assert _fracs(_vmul(_session(rads), a, b)) == ref_mul(frads, _fracs(a), _fracs(b))
 
 
 @given(tower_and_vectors(1))
@@ -238,7 +274,7 @@ def test_mul_matches_reference(case):
 def test_inv_matches_reference(case):
     rads, a = case
     frads = tuple(_fracs(r) for r in rads)
-    num, den = _vinv(rads, a)
+    num, den = _vinv(_session(rads), a)
     assert den > 0
     assert _over(num, den) == ref_inv(frads, _fracs(a))
 
@@ -248,10 +284,11 @@ def test_inv_matches_reference(case):
 def test_sign_matches_reference(case):
     rads, a, b = case
     frads = tuple(_fracs(r) for r in rads)
-    assert _vsign(rads, a) == ref_sign(frads, _fracs(a))
+    tower = _session(rads)
+    assert _vsign(tower, a) == ref_sign(frads, _fracs(a))
     # a difference of two vectors often has parts of opposite sign
     diff = tuple(x - y for x, y in zip(a, b))
-    assert _vsign(rads, diff) == ref_sign(frads, _fracs(diff))
+    assert _vsign(tower, diff) == ref_sign(frads, _fracs(diff))
 
 
 @given(tower_and_vectors(1), st.booleans())
@@ -259,12 +296,13 @@ def test_sign_matches_reference(case):
 def test_root_search_matches_reference(case, square):
     rads, a = case
     frads = tuple(_fracs(r) for r in rads)
-    y = _vmul(rads, a, a) if square else a
-    if _vsign(rads, y) <= 0:
+    tower = _session(rads)
+    y = _vmul(tower, a, a) if square else a
+    if _vsign(tower, y) <= 0:
         y = tuple(-c for c in y)
     if not any(y):
         return
-    got = _vsqrt_in_tower(rads, y)
+    got = _vsqrt_in_tower(tower, y)
     want = ref_sqrt(frads, _fracs(y))
     assert (got is None) == (want is None)
     if square:
@@ -325,3 +363,68 @@ def test_memoized_ssqrt_equals_fresh_search(case, den):
         assert root * root == Real(fresh, v._num, v._den) * Real(fresh, (v.sign(),))
     assert fresh.depth == s.depth
     s.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# Rational roots: the product-table scan against the tower search.
+# ---------------------------------------------------------------------------
+
+
+def _searched_root(session, num, den):
+    """The positive root of ``num/den > 0`` by the tower search alone, adjoining
+    the normalized radicand when the tower has none (the path every session
+    took before it kept a product table)."""
+    half = 1 << session.depth
+    y = (num,) + (0,) * (half - 1)
+    w = _vsqrt_in_tower(session, tuple(den * c for c in y))
+    if w is not None:
+        root, root_den = w
+        if _vsign(session, root) < 0:
+            root = tuple(-c for c in root)
+        return Real(session, root, root_den * den)
+    m, rad = _normalize_radicand(y, den)
+    session._adjoin(rad)
+    return Real(session, (0,) * half + (m,) + (0,) * (half - 1), den)
+
+
+@st.composite
+def mixed_towers(draw):
+    """A multiquadratic tower topped by a nested radicand ``c * x * x``, whose
+    root ``sqrt(c) * x`` puts ``sqrt(c)`` in the tower without adjoining it."""
+    rads = list(draw(multiquadratic_towers(max_depth=3)))
+    x = draw(vectors(len(rads)))
+    c = draw(square_free())
+    rad = tuple(c * v for v in _vmul(_session(rads), x, x))
+    assume(any(rad[1:]) and _valid_radicand(tuple(map(_fracs, rads)), rad))
+    return tuple(rads + [rad])
+
+
+_ROOTS_SETTINGS = settings(max_examples=80, deadline=None)
+
+
+@given(
+    st.one_of(multiquadratic_towers(), mixed_towers()),
+    square_free(),
+    st.integers(1, 12),
+    st.integers(1, 40),
+)
+@example(((6,), (5, 2)), 3, 2, 9)  # sqrt(5 + 2*sqrt(6)) == sqrt(2) + sqrt(3)
+@_ROOTS_SETTINGS
+def test_rational_root_matches_tower_search(rads, f, m, den):
+    num = f * m * m
+    scanned, searched = _session(rads), _session(rads)
+    root = scanned.rational(num, den).ssqrt()
+    want = _searched_root(searched, num, den)
+    assert root.coords == want.coords
+    assert scanned._radicands == searched._radicands
+    assert scanned.depth == searched.depth
+    assert root * root == scanned.rational(num, den)
+    scanned.check_invariants()
+
+
+def test_a_nested_tower_holds_a_rational_root_it_never_adjoined():
+    s = _session(((6,), (5, 2)))  # sqrt(5 + 2*sqrt(6)) == sqrt(2) + sqrt(3)
+    assert s._products is None
+    root = s.rational(2).ssqrt()
+    assert s.depth == 2
+    assert root.coords == (0, 0, -2, 1)  # (sqrt(6) - 2) * sqrt(5 + 2*sqrt(6))

@@ -3,7 +3,8 @@
 ``parse``, ``eval_exact`` and ``eval_mod_p`` run as explicit loops, so the
 stack they take does not grow with a term's depth.  The recursive-descent
 parser and the two recursive walks they replaced are kept below, verbatim,
-as the oracle; the code under test is reached as ``terms.parse`` and so on.
+as the oracle, with the ``repr`` that ``dataclass`` writes; the code under
+test is reached as ``terms.parse`` and so on.
 On generated source strings, on those strings mutated, and on strings of
 random tokens, both parsers must give equal terms, or a ``ParseError`` with
 the same message and position.  On generated terms with holes, under
@@ -14,6 +15,9 @@ must end with the reference's tower.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from typing import Mapping
@@ -59,6 +63,16 @@ _RESERVED = {"s", "sqrt", "inv"}
 # --------------------------------------------------------------------------
 # The recursive references, as the term layer had them
 # --------------------------------------------------------------------------
+
+
+def dataclass_repr(t: Term) -> str:
+    """The ``repr`` that ``dataclass`` writes for every node."""
+    fields = ", ".join(
+        f"{f.name}={dataclass_repr(v) if isinstance(v, Term) else repr(v)}"
+        for f in dataclasses.fields(t)
+        for v in (getattr(t, f.name),)
+    )
+    return f"{type(t).__qualname__}({fields})"
 
 
 class _Parser:
@@ -283,6 +297,14 @@ def test_rendered_terms_parse_as_the_reference_parses_them(term):
     src = render(term)
     _assert_parsers_agree(src)
     assert terms.parse(src) == term
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated())
+def test_terms_print_as_dataclass_and_survive_pickle_and_copy(term):
+    assert repr(term) == dataclass_repr(term)
+    assert pickle.loads(pickle.dumps(term)) == term
+    assert copy.deepcopy(term) == term
 
 
 @settings(max_examples=600, deadline=None)
