@@ -36,10 +36,11 @@ says how many trials had their premises hold and how many were skipped (an
 equation has no premises); the tally counts the refutations, keeps the first
 :data:`MAX_FAILURES` and builds the :class:`CheckReport`.  An equation or
 conditional equation is compiled once per model kind into one Python loop
-over all its trials (``terms._compile``): its valuations are prime-field
-tuples, enumerated or sampled, or exact draws in a fresh session per trial,
-and the valuation dict of a field trial is built only when it refutes.  The
-compiled code lives as long as the law.
+over all its trials (``terms._compile``).  Both models pass a trial's
+values by position, in ``law.variables`` order: prime-field tuples,
+enumerated or sampled, or exact draws, each trial led by its fresh
+session, ``[session, v0, v1, ...]``.  The valuation dict is built only for a
+refuting trial.  The compiled code lives as long as the law.
 """
 
 from __future__ import annotations
@@ -567,29 +568,28 @@ def _check(
     return report
 
 
-def _random_valuation(rng, variables, strategy, trial: int):
-    """Random exact values in a fresh session; on odd trials ``strategy``
-    steers them so a conditional's premises hold."""
+def _random_valuation(rng, nvars: int, strategy, trial: int) -> list:
+    """``[session, v0, v1, ...]``: ``nvars`` random exact values in a fresh
+    session; on odd trials ``strategy`` steers them so a conditional's
+    premises hold."""
     session = Session()
-    valuation = {name: random_value(rng, session) for name in variables}
+    values = [session, *(random_value(rng, session) for _ in range(nvars))]
     if strategy is None or trial % 2 == 0:
-        return valuation, session
+        return values
     if strategy == "match-signs":
-        a, b = variables[0], variables[1]
         scale = session.rational(rng.randint(1, 9), rng.randint(1, 9))
-        valuation[b] = valuation[a] * scale
+        values[2] = values[1] * scale
     elif strategy == "match-products":
-        a, b, c = variables[0], variables[1], variables[2]
         for _ in range(20):
-            if not valuation[a].is_zero():
+            if not values[1].is_zero():
                 break
-            valuation[a] = random_value(rng, session)
+            values[1] = random_value(rng, session)
         else:
-            valuation[a] = session.one
-        valuation[c] = valuation[b]
+            values[1] = session.one
+        values[3] = values[2]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return valuation, session
+    return values
 
 
 # Each law's compiled trial loops by model kind (exact or not), keyed by the
@@ -612,22 +612,20 @@ def _compiled(law, exact: bool):
 
 def _check_law(law, model, mode, trials, seed):
     """Run an equation or conditional equation's compiled loop over exact
-    draws in a fresh session per trial, or over field tuples enumerated in
-    ``product`` order or sampled."""
+    draws, each trial led by its fresh session, or over field tuples
+    enumerated in ``product`` order or sampled."""
     resolved = resolve_model(model)
-    variables = law.variables
-    picked = _pick_mode(resolved, mode, len(variables))
+    nvars = len(law.variables)
+    picked = _pick_mode(resolved, mode, nvars)
     exact = resolved == "exact"
     if picked == "exhaustive":
-        valuations = product(resolved.elements(), repeat=len(variables))
+        valuations = product(resolved.elements(), repeat=nvars)
     elif exact:
         rng = random.Random(seed)
-        valuations = (
-            _random_valuation(rng, variables, law.strategy, trial) for trial in range(trials)
-        )
+        valuations = (_random_valuation(rng, nvars, law.strategy, t) for t in range(trials))
     else:
         draw, p = random.Random(seed).randrange, resolved.p
-        valuations = (tuple(draw(p) for _ in variables) for _ in range(trials))
+        valuations = (tuple(draw(p) for _ in range(nvars)) for _ in range(trials))
     loop = _compiled(law, exact)
     return _check(
         lambda refute: loop(valuations, resolved, refute),

@@ -274,7 +274,8 @@ def _square_free_split(n: int) -> tuple[int, int]:
 
     Trial division is capped, so for adversarially large inputs ``f`` may keep
     a hidden square factor; that only costs normalization, never correctness,
-    because root deduplication is decided by the in-tower search.
+    because root deduplication is decided by the scan of the radicand-product
+    table in multiquadratic towers and by the in-tower search in others.
     """
     m, f = 1, 1
     d = 2
@@ -758,8 +759,8 @@ def value_to_term(value: Real) -> Term:
         return ZERO
 
     parts = []
-    for index, q in enumerate(value.coords):
-        if q == 0:
+    for index, c in enumerate(value._num):
+        if c == 0:
             continue
         factors = sorted(
             (
@@ -770,12 +771,12 @@ def value_to_term(value: Real) -> Term:
             key=lambda pair: pair[0],
         )
         part_key = tuple(key for key, _ in factors)
-        magnitude = abs(q)
+        magnitude = Fraction(abs(c), value._den)
         items = [t for _, t in factors]
         if magnitude != 1 or not items:
             items.insert(0, Const(magnitude))
         term = reduce(Mul, items)
-        parts.append((part_key, Neg(term) if q < 0 else term))
+        parts.append((part_key, Neg(term) if c < 0 else term))
 
     parts.sort(key=lambda pair: pair[0])
     return reduce(Add, (part for _, part in parts))

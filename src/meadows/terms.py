@@ -496,10 +496,9 @@ def _unevaluable(t: Term) -> ValueError:
 
 
 def _variable(t: Var, valuation: Mapping) -> Any:
-    try:
-        return valuation[t.name]
-    except KeyError:
-        raise EvalError(f"unbound variable {t.name!r}") from None
+    if t.name not in valuation:
+        raise EvalError(f"unbound variable {t.name!r}")
+    return valuation[t.name]
 
 
 # Each constructor's value from its arguments' values, by model kind.  Over a
@@ -520,7 +519,7 @@ def eval_exact(t: Term, valuation: Mapping[str, Real], session: Session) -> Real
         if args:
             return _EXACT_OPS[type(t)](*args)
         if isinstance(t, Const):
-            return session.rational(t.value)
+            return session.rational(t.value.numerator, t.value.denominator)
         if isinstance(t, Var):
             return session.value(_variable(t, valuation))
         raise _unevaluable(t)
@@ -578,12 +577,12 @@ def _compile(
     with what :func:`eval_exact` or :func:`eval_mod_p` give for ``lhs`` and
     ``rhs``.  An error ends the loop where the walks would raise it first.
 
-    Over a field, ``domain`` is the :class:`PrimeField`, whose ``p`` and
-    ``inv`` are bound once, and each trial is a tuple of ints, one per name
-    in ``variables``, unpacked into locals; the valuation dict is built only
-    for ``refute``.  On the exact model each trial is ``(valuation,
-    session)``, the valuation binding every variable of the law, and
-    ``domain`` is not read.
+    A trial holds one value per name in ``variables``, in that order,
+    unpacked into locals; the valuation dict is built only for ``refute``.
+    Over a field the values are ints and ``domain`` is the
+    :class:`PrimeField`, whose ``p`` and ``inv`` are bound once.  On the
+    exact model the trial's session comes first, ``[session, v0, v1, ...]``,
+    and ``domain`` is not read.
 
     The nodes are emitted in the order the walks first evaluate them, each
     distinct subterm once per trial, so the exact session adjoins the same
@@ -596,13 +595,12 @@ def _compile(
     lines: list[str] = []
     # Value numbering: each node's slot by its constructor and its
     # children's slots (a leaf's by its value or name), so no term is hashed.
-    slots: dict[tuple, str] = {}
+    slots = {(Var, name): f"v{i}" for i, name in enumerate(variables)}
+    unpack = ", ".join(slots.values())
     if exact:
-        loop = ["for v, session in trials:"]
-        lines += ["rational = session.rational", "value = session.value"]
+        loop = [f"for [session, {unpack}] in trials:"]
+        lines.append("rational = session.rational")
     else:
-        slots = {(Var, name): f"v{i}" for i, name in enumerate(variables)}
-        unpack = ", ".join(slots.values())
         loop = ["inv = domain.inv", "p = domain.p", f"for [{unpack}] in trials:"]
     templates = _EXACT_SOURCE if exact else _FIELD_SOURCE
 
@@ -629,10 +627,6 @@ def _compile(
                 return slots[key]
             else:
                 expr = f"{n} * inv({d})"
-        elif isinstance(t, Var):
-            if not exact:  # a field trial binds only ``variables``
-                raise KeyError(t.name)
-            expr = f"value(v[{t.name!r}])"
         else:
             expr = templates[type(t)].format(*kids)
         name = slots[key] = f"t{len(slots)}"
@@ -644,12 +638,8 @@ def _compile(
         same = f"{a} == {b}" if exact else f"({a} - {b}) % p == 0"
         lines.append(f"if {'not ' if kind == 'eq' else ''}{same}: skipped += 1; continue")
     a, b = _fold(lhs, leave, enter), _fold(rhs, leave, enter)
-    if exact:
-        lines.append(f"lhs, rhs = {a}, {b}")
-        valuation = "v"
-    else:
-        lines.append(f"lhs, rhs = {a} % p, {b} % p")
-        valuation = "{%s}" % ", ".join(f"{n!r}: v{i}" for i, n in enumerate(variables))
+    lines.append(f"lhs, rhs = {a}, {b}" if exact else f"lhs, rhs = {a} % p, {b} % p")
+    valuation = "{%s}" % ", ".join(f"{n!r}: v{i}" for i, n in enumerate(variables))
     lines += ["satisfied += 1", f"if lhs != rhs: refute({valuation}, lhs, rhs)"]
     source = "def law(trials, domain, refute):\n    satisfied = skipped = 0\n"
     source += "".join(f"    {line}\n" for line in loop)

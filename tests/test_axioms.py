@@ -305,6 +305,11 @@ class TestRandomizedExact:
         with pytest.raises(ValueError):
             check_equation(catalog().Md[0], "exact", mode="exhaustive")
 
+    def test_unknown_strategy_rejected(self):
+        law = ConditionalEquation("odd", (), parse("x"), parse("x"), strategy="bogus")
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            check_conditional(law, "exact", trials=2)
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trial_counts_below_one_rejected(self, trials):
         checks = (

@@ -77,9 +77,8 @@ def walk_loop(variables, premises, lhs, rhs, exact):
         satisfied = skipped = 0
         for trial in trials:
             if exact:
-                valuation, domain = trial
-            else:
-                valuation = dict(zip(variables, trial))
+                domain, *trial = trial
+            valuation = dict(zip(variables, trial))
             outcome = walk_outcome(premises, lhs, rhs, evaluate, valuation, domain)
             if outcome is None:
                 skipped += 1
@@ -136,12 +135,12 @@ def laws(draw, signature, max_size, holes=False):
 
 
 def _exact_trials(seed, count):
-    """``count`` trials of random draws, each in a fresh session."""
+    """``count`` trials of random draws, each led by its fresh session."""
     trials = []
     for trial in range(count):
         session = Session()
         rng = random.Random(seed + trial)
-        trials.append(({v: random_value(rng, session) for v in VARIABLES}, session))
+        trials.append([session, *(random_value(rng, session) for _ in VARIABLES)])
     return trials
 
 
@@ -163,7 +162,7 @@ def _assert_exact_loops_agree(law, seed, count=4):
         # The same draws in two sets of sessions: one for the walk, one for the code.
         walks, runs = _exact_trials(seed, k), _exact_trials(seed, k)
         assert _shown(tally(compiled, runs, None)) == _shown(tally(walked, walks, None))
-        assert [s.radicands for _, s in runs] == [s.radicands for _, s in walks]
+        assert [s.radicands for s, *_ in runs] == [s.radicands for s, *_ in walks]
 
 
 @settings(max_examples=150, deadline=None)
@@ -355,8 +354,9 @@ def test_literals_beyond_the_digit_limit_compile_for_both_models():
         assert check_equation(holds, model, trials=3).verdict == "pass"
         assert check_equation(fails, model, trials=3).verdict == "fail"
     for law in (holds, fails):
+        session = Session()
         for exact, domain, trial in (
-            (True, None, ({"x": 3}, Session())),
+            (True, None, [session, session.rational(3)]),
             (False, PrimeField(7), (3,)),
         ):
             compiled = _compile(("x",), (), law.lhs, law.rhs, exact)

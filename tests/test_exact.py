@@ -32,6 +32,11 @@ class TestRationalLayer:
     def test_fraction_input(self, s):
         assert s.rational(Fraction(3, 7)) == s.rational(3, 7)
 
+    def test_as_rational_of_an_irrational_raises(self, s):
+        assert s.rational(-3, 7).as_rational() == Fraction(-3, 7)
+        with pytest.raises(ValueError, match="value is irrational"):
+            s.rational(2).ssqrt().as_rational()
+
     @given(a=rationals, b=rationals)
     @settings(max_examples=60)
     def test_field_ops_match_fractions(self, a, b):
@@ -73,6 +78,10 @@ class TestSignAndOrder:
         assert r2.compare(r2) == 0
         assert r2.compare(1) == 1
         assert r2 < Fraction(3, 2) and r2 > 1
+        assert r2 <= Fraction(3, 2) and r2 >= 1 and r2 <= r2 and r2 >= r2
+        assert not (r2 <= 1 or r2 >= Fraction(3, 2))
+        with pytest.raises(TypeError, match="cannot compare Real with str"):
+            r2.compare("1")
 
     def test_mixed_sign_parts(self, s):
         # 3 - 2*sqrt(2) > 0 but 1 - sqrt(2) < 0: the branch comparing
@@ -223,6 +232,9 @@ class TestSessionDiscipline:
             a + b
         with pytest.raises(SessionMismatch):
             a == b
+        with pytest.raises(SessionMismatch, match="different session"):
+            Session().value(a)
+        assert a.session.value(a) is a
 
     def test_int_and_fraction_promotion(self, s):
         x = s.rational(1, 2)

@@ -121,6 +121,11 @@ class TestParsing:
         with pytest.raises(ParseError, match="over the cap"):
             parse("x^" + "9" * 5000)  # longer than any int-to-str digit limit
 
+    def test_negative_constants_are_rejected(self):
+        with pytest.raises(ValueError, match="wrap a Neg around it"):
+            Const(-1)
+        assert Const(1) == Const(Fraction(1))
+
     def test_literals_longer_than_the_digit_limit(self):
         # 4501 and 4772 digits: past CPython's default int-to-str limit of 4300
         t = Const(Fraction(10**4500 + 1, 3**10000))
@@ -277,6 +282,10 @@ class TestGeneration:
     def test_unknown_constructor_rejected(self):
         with pytest.raises(ValueError):
             gen_random_term(0, 5, frozenset({"add", "bogus"}))
+
+    def test_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_size must be at least 1"):
+            gen_random_term(0, 0)
 
     @pytest.mark.parametrize("name", ["x-y", "s", "sqrt", "inv", "1x", "", "x y"])
     def test_variable_names_must_parse_back_as_variables(self, name):
