@@ -108,9 +108,11 @@ class ConditionalEquation:
     """A law of the form ``premises ==> lhs == rhs``.
 
     Each premise compares two terms with ``"eq"`` or ``"ne"``.  ``strategy``
-    names a targeted way to build valuations that actually satisfy the
-    premises (used for half of the randomized trials, so the conclusion is
-    exercised instead of vacuously skipped).
+    (``"match-signs"`` or ``"match-products"``) names a targeted way to build
+    valuations that actually satisfy the premises (used for half of the
+    randomized trials, so the conclusion is exercised instead of vacuously
+    skipped).  Any other premise kind or strategy raises ``ValueError`` when
+    the law is built.
     """
 
     name: str
@@ -120,6 +122,13 @@ class ConditionalEquation:
     strategy: Optional[str] = None
 
     variables = Equation.variables
+
+    def __post_init__(self) -> None:
+        if self.strategy not in (None, "match-signs", "match-products"):
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        for _, _, kind in self.premises:
+            if kind not in ("eq", "ne"):
+                raise ValueError(f"unknown premise kind {kind!r}")
 
     @cached_property
     def statement(self) -> str:
@@ -579,7 +588,7 @@ def _random_valuation(rng, nvars: int, strategy, trial: int) -> list:
     if strategy == "match-signs":
         scale = session.rational(rng.randint(1, 9), rng.randint(1, 9))
         values[2] = values[1] * scale
-    elif strategy == "match-products":
+    else:  # "match-products"
         for _ in range(20):
             if not values[1].is_zero():
                 break
@@ -587,8 +596,6 @@ def _random_valuation(rng, nvars: int, strategy, trial: int) -> list:
         else:
             values[1] = session.one
         values[3] = values[2]
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     return values
 
 

@@ -122,6 +122,13 @@ class PrimeField:
             raise NotPrimeError(p, f)
         self.p = p
 
+    @classmethod
+    def _of_prime(cls, p: int) -> PrimeField:
+        """The field of ``p``, which the caller knows to be prime: not re-proved."""
+        fp = cls.__new__(cls)
+        fp.p = p
+        return fp
+
     def element(self, x: int) -> int:
         return x % self.p
 
@@ -256,7 +263,7 @@ def scan_lagrange(n: int, limit: int) -> ScanResult:
     holds: list[int] = []
     sample: dict[int, tuple[int, ...]] = {}
     for p in primes_upto(limit):
-        res = lagrange_holds(PrimeField(p), n)
+        res = lagrange_holds(PrimeField._of_prime(p), n)
         if res.holds:
             holds.append(p)
         elif len(sample) < 5:

@@ -12,10 +12,13 @@ Two independent services live here:
 
 * **Rewriting.**  :data:`REWRITE_RULES` is a list of oriented identities (all
   sound for the exact model); :func:`rewrite_simplify` applies them
-  leftmost-innermost until no rule fires.  Every rule is strictly reducing
-  under a fixed polynomial interpretation of the constructors (leaves 2,
-  neg/inv a+1, add a+b+1, mul a*b+1, sign a**2, sqrt 2a), so rewriting
-  terminates without the step cap; the cap is only a safety net.
+  leftmost-innermost until no rule fires.  At each node it tries only the
+  rules whose pattern root is the node's constructor (a bare-variable
+  pattern would match at every node), looked up in an index built at
+  import.  Every rule is strictly reducing under a fixed polynomial
+  interpretation of the constructors (leaves 2, neg/inv a+1, add a+b+1,
+  mul a*b+1, sign a**2, sqrt 2a), so rewriting terminates without the step
+  cap; the cap is only a safety net.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import Session, value_to_term
-from .terms import Const, Term, Var, _children, _rebuild, _replace, eval_exact, parse, render
+from .terms import (
+    _NODE_TYPES, Const, Term, Var, _children, _rebuild, _replace, eval_exact, parse, render,
+)
 
 
 def normalize_closed(src: str) -> str:
@@ -79,25 +84,39 @@ REWRITE_RULES: tuple[RewriteRule, ...] = (
 )
 
 
+def _index(rules: tuple[RewriteRule, ...]) -> dict[type, tuple[RewriteRule, ...]]:
+    """Each term constructor to the rules that can match a node it builds, in
+    catalog order: those whose pattern root is that constructor, and those
+    whose pattern is a bare variable."""
+    return {
+        kind: tuple(r for r in rules if type(r.pattern) in (kind, Var))
+        for kind in _NODE_TYPES
+    }
+
+
+_RULES_BY_ROOT = _index(REWRITE_RULES)
+
+
 def _match(pattern: Term, term: Term, bindings: dict[Var, Term]) -> bool:
     """First-order matching of ``term`` against ``pattern``.
 
     ``bindings`` maps each pattern variable (the ``Var`` node) to the subterm
     it matched; repeated pattern variables must bind equal subterms.
     """
-    if isinstance(pattern, Var):
+    kind = type(pattern)
+    if kind is Var:
         if pattern in bindings:
             return bindings[pattern] == term
         bindings[pattern] = term
         return True
-    if type(pattern) is not type(term):
+    if kind is not type(term):
         return False
-    if isinstance(pattern, Const):
+    if kind is Const:
         return pattern.value == term.value
-    return all(
-        _match(p, t, bindings)
-        for p, t in zip(_children(pattern), _children(term))
-    )
+    for p, t in zip(_children(pattern), _children(term)):
+        if not _match(p, t, bindings):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -124,10 +143,11 @@ class SimplifyResult:
 def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
     """Apply :data:`REWRITE_RULES` leftmost-innermost until none fires.
 
-    One pass: a node's children are normalised first, then the rules are
-    tried at the node in order, and a fired rule's replacement is normalised
-    again at the same path, except for the subterms bound to the rule's
-    variables, which are normal already.  The rule set terminates on its own
+    One pass: a node's children are normalised first, then the rules whose
+    pattern root is the node's constructor are tried at the node in catalog
+    order, and a fired rule's replacement is normalised again at the same
+    path, except for the subterms bound to the rule's variables, which are
+    normal already.  The rule set terminates on its own
     (see the module docstring); ``max_steps`` is a safety net that sets
     ``truncated`` when a rule still matches after that many steps.
     """
@@ -154,7 +174,7 @@ def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
         else:
             if any(a is not b for a, b in zip(new, kids)):
                 t = _rebuild(t, new)
-            for rule in REWRITE_RULES:
+            for rule in _RULES_BY_ROOT[type(t)]:
                 bindings: dict[Var, Term] = {}
                 if _match(rule.pattern, t, bindings):
                     truncated = len(trace) == max_steps

@@ -367,12 +367,14 @@ def _literal(num: int, den: int) -> str:
 
 _BINARY_NODES = frozenset({Add, Mul})
 _UNARY_NODES = frozenset({Neg, Inv, Sign, Sqrt})
+_NODE_TYPES = (Const, Var, Hole, *_BINARY_NODES, *_UNARY_NODES)
 
 
 def _children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, (Add, Mul)):
+    kind = type(t)
+    if kind in _BINARY_NODES:
         return (t.left, t.right)
-    if isinstance(t, (Neg, Inv, Sign, Sqrt)):
+    if kind in _UNARY_NODES:
         return (t.arg,)
     return ()
 

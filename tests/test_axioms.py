@@ -306,9 +306,13 @@ class TestRandomizedExact:
             check_equation(catalog().Md[0], "exact", mode="exhaustive")
 
     def test_unknown_strategy_rejected(self):
-        law = ConditionalEquation("odd", (), parse("x"), parse("x"), strategy="bogus")
+        # Rejected when the law is built, before any check could pass it.
         with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
-            check_conditional(law, "exact", trials=2)
+            ConditionalEquation("odd", (), parse("x"), parse("x"), strategy="bogus")
+        with pytest.raises(ValueError, match="unknown premise kind 'neq'"):
+            ConditionalEquation(
+                "odd", ((parse("x"), parse("0"), "neq"),), parse("x"), parse("x")
+            )
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trial_counts_below_one_rejected(self, trials):

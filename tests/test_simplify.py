@@ -12,6 +12,9 @@ from meadows.exact import Session
 from meadows.simplify import (
     REWRITE_RULES,
     SimplifyResult,
+    RewriteRule,
+    _RULES_BY_ROOT,
+    _index,
     _match,
     decide_closed_eq,
     normalize_closed,
@@ -21,8 +24,14 @@ from meadows.simplify import (
 )
 from meadows.terms import (
     Add,
+    Const,
     EvalError,
+    Hole,
     Inv,
+    Mul,
+    Neg,
+    Sign,
+    Sqrt,
     Var,
     _children,
     _rebuild,
@@ -167,6 +176,29 @@ class TestRewriteRules:
             assert report.verdict == "pass", str(report)
 
 
+class TestRuleIndex:
+    CONSTRUCTORS = (Const, Var, Hole, Add, Mul, Neg, Inv, Sign, Sqrt)
+
+    def test_each_constructor_gets_the_rules_rooted_at_it(self):
+        assert set(_RULES_BY_ROOT) == set(self.CONSTRUCTORS)
+        for kind in (Const, Var, Hole):
+            assert _RULES_BY_ROOT[kind] == ()
+        assert [r.name for r in _RULES_BY_ROOT[Add]] == ["add-zero-left", "add-zero-right"]
+        for kind in self.CONSTRUCTORS:
+            expected = tuple(r for r in REWRITE_RULES if type(r.pattern) is kind)
+            assert _RULES_BY_ROOT[kind] == expected, kind.__name__
+
+    def test_a_bare_variable_pattern_goes_into_every_bucket_in_order(self):
+        catch_all = RewriteRule("catch-all", Var("x"), Var("x"))
+        rules = (REWRITE_RULES[0], catch_all, REWRITE_RULES[-1])  # inv(0), ..., x + 0
+        index = _index(rules)
+        assert set(index) == set(self.CONSTRUCTORS)
+        for kind in (Const, Var, Hole, Mul, Neg, Sign, Sqrt):
+            assert index[kind] == (catch_all,)
+        assert index[Inv] == (REWRITE_RULES[0], catch_all)
+        assert index[Add] == (catch_all, REWRITE_RULES[-1])
+
+
 class TestRewriteSimplify:
     def test_frozen_traces(self):
         result = rewrite_simplify(parse("s(s(x * y))"))
@@ -213,6 +245,7 @@ class TestRewriteSimplify:
     def test_matches_the_restarting_reference(self):
         rng = random.Random(29)
         terms = [gen_random_term(None, rng.randint(1, 14), rng=rng) for _ in range(400)]
+        terms += [gen_random_term(None, rng.randint(1, 30), rng=rng) for _ in range(200)]
         terms += [parse(src) for src, _, _ in json.loads(GOLDEN.read_text())]
         for term in terms:
             for max_steps in (0, 1, 2, 3, 1000):
