@@ -103,6 +103,11 @@ class Equation:
         return f"{self.name}: {self.statement}"
 
 
+# How many variables each strategy of a conditional law steers (see
+# ``_random_valuation``); the law must have at least that many.
+_STEERED_VARIABLES = {None: 0, "match-signs": 2, "match-products": 3}
+
+
 @dataclass(frozen=True)
 class ConditionalEquation:
     """A law of the form ``premises ==> lhs == rhs``.
@@ -111,8 +116,10 @@ class ConditionalEquation:
     (``"match-signs"`` or ``"match-products"``) names a targeted way to build
     valuations that actually satisfy the premises (used for half of the
     randomized trials, so the conclusion is exercised instead of vacuously
-    skipped).  Any other premise kind or strategy raises ``ValueError`` when
-    the law is built.
+    skipped); it steers the first two or three variables, so the law needs
+    at least that many.  Any other premise kind or strategy, or a law with
+    too few variables for its strategy, raises ``ValueError`` when the law
+    is built.
     """
 
     name: str
@@ -124,8 +131,13 @@ class ConditionalEquation:
     variables = Equation.variables
 
     def __post_init__(self) -> None:
-        if self.strategy not in (None, "match-signs", "match-products"):
+        if self.strategy not in _STEERED_VARIABLES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        needed, found = _STEERED_VARIABLES[self.strategy], len(self.variables)
+        if found < needed:
+            raise ValueError(
+                f"strategy {self.strategy!r} needs at least {needed} variables, the law has {found}"
+            )
         for _, _, kind in self.premises:
             if kind not in ("eq", "ne"):
                 raise ValueError(f"unknown premise kind {kind!r}")

@@ -58,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, prod
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Optional, Union
 
 from .approx import approx_decimal
@@ -758,27 +758,24 @@ def value_to_term(value: Real) -> Term:
     if value.is_zero():
         return ZERO
 
+    depth, den = value.depth, value._den
+    radicals = [_radical(session, level) for level in range(1, depth + 1)]
+    # the levels in the order of their factors' keys, so each summand's
+    # factors come out sorted
+    order = sorted(range(depth), key=lambda level: radicals[level][0])
     parts = []
     for index, c in enumerate(value._num):
         if c == 0:
             continue
-        factors = sorted(
-            (
-                _radical(session, level + 1)
-                for level in range(value.depth)
-                if index >> level & 1
-            ),
-            key=lambda pair: pair[0],
-        )
+        factors = [radicals[level] for level in order if index >> level & 1]
         part_key = tuple(key for key, _ in factors)
-        magnitude = Fraction(abs(c), value._den)
         items = [t for _, t in factors]
-        if magnitude != 1 or not items:
-            items.insert(0, Const(magnitude))
+        if abs(c) != den or not items:
+            items.insert(0, Const(Fraction(abs(c), den)))
         term = reduce(Mul, items)
         parts.append((part_key, Neg(term) if c < 0 else term))
 
-    parts.sort(key=lambda pair: pair[0])
+    parts.sort(key=itemgetter(0))
     return reduce(Add, (part for _, part in parts))
 
 

@@ -26,6 +26,12 @@ term — with minimal parentheses.  Division is *never* rendered with ``/``
 evaluation and law compilation run as loops over explicit stacks, so their
 work grows with a term's size and their frames do not grow with its depth:
 explicit caps such as :data:`MAX_EXPONENT` are the only limits.
+
+The parser reads the tokens in one pass of one regular expression, without
+their positions; a position is computed only for an error, by tokenizing
+the source again.  Within one parse, every occurrence of a literal or a name
+is the same node, so a parsed term may share its leaves; nodes are immutable
+and compared by structure, so a shared leaf acts as equal copies would.
 """
 
 from __future__ import annotations
@@ -107,10 +113,12 @@ class Const(Term):
     value: Fraction
 
     def __post_init__(self) -> None:
-        v = self.value if isinstance(self.value, Fraction) else Fraction(self.value)
-        if v < 0:
+        v = self.value
+        if not isinstance(v, Fraction):
+            v = Fraction(v)
+            object.__setattr__(self, "value", v)
+        if v.numerator < 0:
             raise ValueError("Const must be nonnegative; wrap a Neg around it")
-        object.__setattr__(self, "value", v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,9 +188,9 @@ class ParseError(ValueError):
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT})|(?P<hole>\[\])|(?P<op>[-+*/^()]))"
-)
+# A token is a numeral, a name or a symbol; a symbol that is not an operator,
+# a bracket or the hole is a stray character, which the last branch takes.
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_IDENT})|(\[\]|[-+*/^()]|\S))")
 _IDENT_RE = re.compile(_IDENT)
 
 # The function symbols, by name; their names are not variables.
@@ -194,19 +202,25 @@ MAX_EXPONENT = 10_000
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, position)`` for each token of ``src``, then ``eof``.
+
+    The kind is ``"int"``, ``"ident"``, ``"hole"`` or an operator's own text;
+    a stray character raises :class:`ParseError` at its position.
+    """
     out = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(src) - len(stripped))
-        kind = m.lastgroup
-        text = m.group(kind)
-        out.append((kind if kind != "op" else text, text, m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(src):
+        numeral, name, symbol = m.groups()
+        if numeral:
+            kind = "int"
+        elif name:
+            kind = "ident"
+        elif symbol == "[]":
+            kind = "hole"
+        elif symbol in "-+*/^()":
+            kind = symbol
+        else:
+            raise ParseError(f"unexpected character {symbol!r}", m.start(3))
+        out.append((kind, m.group(m.lastindex), m.start(m.lastindex)))
     out.append(("eof", "", len(src)))
     return out
 
@@ -225,78 +239,101 @@ _INFIX = {
 def parse(src: str) -> Term:
     """The term ``src`` denotes, by one operator-precedence loop.
 
+    The loop reads ``_TOKEN_RE``'s ``(numeral, name, symbol)`` triples, one
+    of them nonempty, which come without positions; an error is raised at
+    the first token that cannot continue, with its position from
+    :func:`_tokenize`, which raises first at a stray character.
     ``pending`` holds the operators not yet applied to ``operands`` and the
     open brackets (``"("`` or a function name), innermost last.  An operator
     is applied once one that binds no tighter follows it, or its bracket
-    closes.  An error is raised at the first token that cannot continue.
+    closes.  Each literal and each name is built once, so the leaves that
+    spell them alike are one node.
     """
-    tokens = _tokenize(src)
+    tokens = _TOKEN_RE.findall(src)
+    tokens.append(("", "", ""))  # the end
+    leaves: dict = {}  # by the literal's texts, or the name
     operands: list[Term] = []
     pending: list[str] = []
     i = 0
     while True:
         # An operand: prefix minuses and open brackets, then an atom.
-        kind, text, pos = tokens[i]
+        numeral, name, symbol = tokens[i]
         i += 1
-        if kind == "-" or kind == "(":
-            pending.append("neg" if kind == "-" else "(")
+        if symbol == "-" or symbol == "(":
+            pending.append("neg" if symbol == "-" else "(")
             continue
-        if kind == "ident" and text in _FUNCTIONS:
-            if tokens[i][0] != "(":
-                raise ParseError(f"expected '(' after {text!r}", tokens[i][2])
-            pending.append(text)
+        if name in _FUNCTIONS:
+            if tokens[i][2] != "(":
+                raise ParseError(f"expected '(' after {name!r}", _tokenize(src)[i][2])
+            pending.append(name)
             i += 1
             continue
-        if kind == "int":
-            atom = Const(Fraction(_parse_decimal(text)))
+        if numeral:
             # a rational literal only when the next two tokens are "/" int
-            if tokens[i][0] == "/" and tokens[i + 1][0] == "int":
-                den = _parse_decimal(tokens[i + 1][1])
+            key = numeral
+            if tokens[i][2] == "/" and tokens[i + 1][0]:
+                key = numeral, tokens[i + 1][0]
                 i += 2
-                atom = Mul(atom, Inv(ZERO)) if den == 0 else Const(atom.value / den)
-        elif kind == "ident":
-            atom = Var(text)
-        elif kind == "hole":
+            atom = leaves.get(key)
+            if atom is None:
+                atom = leaves[key] = _literal_term(key)
+        elif name:
+            atom = leaves.get(name)
+            if atom is None:
+                atom = leaves[name] = Var(name)
+        elif symbol == "[]":
             atom = HOLE
         else:
-            raise ParseError("expected a value", pos)
+            raise ParseError("expected a value", _tokenize(src)[i - 1][2])
         operands.append(atom)
         # After an atom: at most one power, then an infix operator, which
         # asks for the next operand, or a ")", which completes another atom.
         while True:
-            kind, text, pos = tokens[i]
+            numeral, name, symbol = tokens[i]
             i += 1
-            if kind == "^":
-                negative = tokens[i][0] == "-"
-                kind, text, pos = tokens[i + negative]
-                if kind != "int":
-                    raise ParseError("exponent must be an integer literal", pos)
-                n = _parse_decimal(text)
+            if symbol == "^":
+                negative = tokens[i][2] == "-"
+                exponent = tokens[i + negative][0]
+                if not exponent:
+                    message = "exponent must be an integer literal"
+                    raise ParseError(message, _tokenize(src)[i + negative][2])
+                n = _parse_decimal(exponent)
                 if n > MAX_EXPONENT:
-                    raise ParseError(f"exponent is over the cap of {MAX_EXPONENT}", pos)
+                    message = f"exponent is over the cap of {MAX_EXPONENT}"
+                    raise ParseError(message, _tokenize(src)[i + negative][2])
                 base = operands[-1]
                 out = base if n else ONE  # inv(1) for ^-0 keeps the sugar faithful
                 for _ in range(n - 1):
                     out = Mul(out, base)
                 operands[-1] = Inv(out) if negative else out
-                kind, text, pos = tokens[i + negative + 1]
+                numeral, name, symbol = tokens[i + negative + 1]
                 i += negative + 2
-            binding = _BINDING.get(kind)
+            binding = _BINDING.get(symbol)
             while pending and _BINDING.get(pending[-1], 0) >= (binding or 1):
                 op = pending.pop()
                 right = operands.pop()
                 operands.append(Neg(right) if op == "neg" else _INFIX[op](operands.pop(), right))
             if binding is not None:
-                pending.append(kind)
+                pending.append(symbol)
                 break
-            if kind == ")" and pending:
+            if symbol == ")" and pending:
                 op = pending.pop()
                 if op != "(":
                     operands[-1] = _FUNCTIONS[op](operands[-1])
-            elif kind == "eof" and not pending:
+            elif i == len(tokens) and not pending:
                 return operands[0]
             else:
-                raise ParseError("expected ')'" if pending else "unexpected trailing input", pos)
+                message = "expected ')'" if pending else "unexpected trailing input"
+                raise ParseError(message, _tokenize(src)[i - 1][2])
+
+
+def _literal_term(key: Union[str, tuple[str, str]]) -> Term:
+    """The term of a numeral, or of a ``(numerator, denominator)`` pair of
+    numerals: ``n/0`` desugars to ``n * inv(0)``."""
+    if type(key) is str:
+        return Const(Fraction(_parse_decimal(key)))
+    num, den = map(_parse_decimal, key)
+    return Mul(Const(Fraction(num)), Inv(ZERO)) if den == 0 else Const(Fraction(num, den))
 
 
 # ---------------------------------------------------------------------------

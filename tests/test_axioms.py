@@ -313,6 +313,11 @@ class TestRandomizedExact:
             ConditionalEquation(
                 "odd", ((parse("x"), parse("0"), "neq"),), parse("x"), parse("x")
             )
+        # The strategies steer the first two or three variables.
+        with pytest.raises(ValueError, match="'match-signs' needs at least 2 variables"):
+            ConditionalEquation("odd", (), parse("x"), parse("x"), strategy="match-signs")
+        with pytest.raises(ValueError, match="'match-products' needs at least 3 variables"):
+            ConditionalEquation("odd", (), parse("x + y"), parse("x + y"), strategy="match-products")
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trial_counts_below_one_rejected(self, trials):

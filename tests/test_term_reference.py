@@ -20,6 +20,7 @@ import dataclasses
 import pickle
 import random
 from fractions import Fraction
+from itertools import count
 from typing import Mapping
 
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from meadows.approx import _parse_decimal
 from meadows.axioms import random_value
 from meadows.exact import Real, Session
 from meadows.finite import PrimeField, primes_upto
+from meadows.simplify import rewrite_simplify
 from meadows.terms import (
     HOLE,
     MAX_EXPONENT,
@@ -271,11 +273,13 @@ def generated(draw, max_size=24):
     return gen_random_term(seed, size, signature, VARIABLES)
 
 
-# Tokens and characters a mutation may put in, junk included.
+# Tokens and characters a mutation may put in, junk included: other
+# whitespace, a stray bracket, a non-ASCII digit (U+0663, which ``\d``
+# takes as 3) and letter, and a numeral run into a name.
 PIECES = (
     "x", "y", "s", "sqrt", "inv", "(", ")", "+", "-", "*", "/", "^", "[]", "[",
     "0", "1", "2", "3/4", "1/0", "10", str(MAX_EXPONENT), str(MAX_EXPONENT + 1),
-    " ", "$", "s(", "inv(", "sqrt(",
+    " ", "$", "s(", "inv(", "sqrt(", "\t", "\n", "]", "\u0663", "\u00e9", "2x",
 )
 
 
@@ -305,6 +309,29 @@ def test_terms_print_as_dataclass_and_survive_pickle_and_copy(term):
     assert repr(term) == dataclass_repr(term)
     assert pickle.loads(pickle.dumps(term)) == term
     assert copy.deepcopy(term) == term
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated(), st.integers(0, 2**32))
+def test_shared_leaves_act_as_unshared_ones(term, seed):
+    # parse builds one node per literal and per name; a pickle round trip
+    # rebuilds the same term with a node of its own at every position
+    t = terms.parse(render(term))
+    u = pickle.loads(pickle.dumps(t))
+    leaves = [n for n in terms._subterms(t) if isinstance(n, (Const, Var))]
+    assert len({id(n) for n in leaves}) == len({terms._node_key(n) for n in leaves})
+    assert len({id(n) for n in terms._subterms(u)}) == terms.term_size(u)
+    assert t == u and hash(t) == hash(u) and render(t) == render(u)
+    assert rewrite_simplify(t) == rewrite_simplify(u)
+    for name in VARIABLES:
+        assert terms.substitute(t, name, ONE) == terms.substitute(u, name, ONE)
+    spot = random.Random(seed).randrange(terms.term_size(t))
+
+    def at_spot():
+        preorder = count()
+        return lambda n: Var("w") if next(preorder) == spot else None
+
+    assert terms._replace(t, at_spot()) == terms._replace(u, at_spot())
 
 
 @settings(max_examples=600, deadline=None)

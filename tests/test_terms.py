@@ -124,7 +124,10 @@ class TestParsing:
     def test_negative_constants_are_rejected(self):
         with pytest.raises(ValueError, match="wrap a Neg around it"):
             Const(-1)
+        with pytest.raises(ValueError, match="wrap a Neg around it"):
+            Const(Fraction(-1, 2))
         assert Const(1) == Const(Fraction(1))
+        assert Const(3).value == Fraction(3) and type(Const(3).value) is Fraction
 
     def test_literals_longer_than_the_digit_limit(self):
         # 4501 and 4772 digits: past CPython's default int-to-str limit of 4300
