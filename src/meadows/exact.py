@@ -45,8 +45,11 @@ whose root is irrational, since finding such a root again means a fresh
 search down the whole tower.  The tower only grows and the positive root is
 unique, so a cached root stays correct for the life of the session.  The memo
 grows with the number of distinct such arguments and is never evicted.  A
-value prints as its canonical closed term, :func:`value_to_term`, for which
-the session likewise keeps the closed form of each level's radical.
+value prints as its canonical closed form ``q0 + q1 * sqrt(r1) + ...``,
+written as text straight from its coordinates (:func:`_text`); the session
+likewise keeps the text of each level's radical, so each radicand is
+rendered once per session.  :func:`value_to_term` reads that text back as a
+term.
 
 Sessions are mutable (``ssqrt`` may adjoin a new level) and are meant to be
 confined to one thread; values from different sessions must never be mixed,
@@ -56,13 +59,12 @@ and attempting to do so raises :class:`SessionMismatch`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, isqrt, prod
 from operator import add, itemgetter, sub
 from typing import Optional, Union
 
 from .approx import approx_decimal
-from .terms import ZERO, Add, Const, Mul, Neg, Sqrt, Term, _literal, render
+from .terms import ZERO, Term, _literal, parse
 
 Scalar = Union[int, Fraction]
 
@@ -339,9 +341,10 @@ class Session:
         self._products: Optional[tuple] = (1,)
         # positive radicand (num, den) -> its positive root (num, den)
         self._roots: dict[tuple, tuple] = {}
-        # level -> (sort key, Sqrt term) of its root in canonical closed
-        # forms, filled by _radical; a radicand never changes, so an entry
-        # stays right for the life of the session
+        # level -> (sort key, "sqrt(<radicand text>)") of its root in
+        # canonical closed forms, filled by _radical, so each radicand is
+        # rendered once; a radicand never changes, so an entry stays right
+        # for the life of the session
         self._radicals: dict[int, tuple] = {}
 
     @property
@@ -392,8 +395,8 @@ class Session:
         The product table must exist exactly when every radicand is
         rational and hold their products, every radicand must be positive and
         not a lower square, every memoized root must be positive and square
-        to its radicand, and every memoized radical must render as it does
-        with the memo cleared.
+        to its radicand, and every memoized radical's key and text must be
+        what they are written as with the memo cleared.
         """
         rads = self._radicands
         for k, rad in enumerate(rads, start=1):
@@ -720,12 +723,8 @@ class Real:
         return approx_decimal(self, digits)
 
     def serialize(self) -> str:
-        """Canonical closed-term string; see :func:`value_to_term`."""
-        if len(self._num) == 1:  # as render writes a constant, or its Neg
-            c = self._num[0]
-            body = _literal(abs(c), self._den)
-            return f"-{body}" if c < 0 else body
-        return render(value_to_term(self))
+        """Canonical closed-term string, ``q0 + q1 * sqrt(r1) + ...``; see :func:`_text`."""
+        return _text(self)
 
     def __repr__(self) -> str:
         return f"Real({self.serialize()})"
@@ -746,48 +745,67 @@ def _canonical(session: Session, num: tuple, den: int) -> Real:
 
 
 def value_to_term(value: Real) -> Term:
-    """The canonical closed term ``q0 + q1 * sqrt(r1) + ...`` denoting ``value``.
+    """The canonical closed term denoting ``value``: ``str(value)`` read back; see :func:`_text`."""
+    return ZERO if value.is_zero() else parse(_text(value))
 
-    Each nonzero coordinate contributes one summand: its rational coefficient
-    times one ``sqrt`` factor per tower level involved, each radicand rendered
-    recursively, once per session.  Factors are sorted by radicand depth and
-    then display string, the rational summand first.  The form is canonical
-    for the session's order of adjoined roots.
+
+def _text(value: Real) -> str:
+    """The canonical closed form of ``value``, written from its coordinates.
+
+    Each nonzero coordinate contributes one summand: its reduced rational
+    coefficient, left out when it is 1 and the summand has a root, then one
+    ``sqrt`` factor per tower level involved, joined by ``" * "``.  Factors
+    are sorted by radicand depth and then radicand text, and the summands by
+    their factors' keys, the rational summand first.  A later negative
+    summand is written after ``" - "``; a negative first one as ``-body``, or
+    ``-(body)`` when it has more than one factor.  This is the text
+    :func:`~meadows.terms.render` writes for the sum of these summands, and
+    the form is canonical for the session's order of adjoined roots.
     """
-    session = value.session
-    if value.is_zero():
-        return ZERO
+    num, den = value._num, value._den
+    if len(num) == 1:
+        c = num[0]
+        body = _literal(abs(c), den)
+        return f"-{body}" if c < 0 else body
 
-    depth, den = value.depth, value._den
+    session = value._session
+    depth = len(num).bit_length() - 1
     radicals = [_radical(session, level) for level in range(1, depth + 1)]
-    # the levels in the order of their factors' keys, so each summand's
-    # factors come out sorted
+    # the levels in the order of their keys, which are distinct (a radicand
+    # is never a lower square), so a summand's ranks in this order sort it
     order = sorted(range(depth), key=lambda level: radicals[level][0])
+    bits = [1 << level for level in order]
+    roots = [radicals[level][1] for level in order]
     parts = []
-    for index, c in enumerate(value._num):
-        if c == 0:
-            continue
-        factors = [radicals[level] for level in order if index >> level & 1]
-        part_key = tuple(key for key, _ in factors)
-        items = [t for _, t in factors]
-        if abs(c) != den or not items:
-            items.insert(0, Const(Fraction(abs(c), den)))
-        term = reduce(Mul, items)
-        parts.append((part_key, Neg(term) if c < 0 else term))
+    for index, c in enumerate(num):
+        if c:
+            ranks = tuple(rank for rank, bit in enumerate(bits) if index & bit)
+            items = [roots[rank] for rank in ranks]
+            a = abs(c)
+            if a != den or not items:
+                g = gcd(a, den)
+                items.insert(0, _literal(a // g, den // g))
+            parts.append((ranks, c < 0, items))
 
     parts.sort(key=itemgetter(0))
-    return reduce(Add, (part for _, part in parts))
+    _, negative, items = parts[0]
+    body = " * ".join(items)
+    out = [(f"-({body})" if len(items) > 1 else f"-{body}") if negative else body]
+    for _, negative, items in parts[1:]:
+        out.append(" - " if negative else " + ")
+        out.append(" * ".join(items))
+    return "".join(out)
 
 
-def _radical(session: Session, level: int) -> tuple[tuple[int, str], Term]:
-    """The sort key and ``Sqrt`` term of the root adjoined at ``level``.
+def _radical(session: Session, level: int) -> tuple[tuple[int, str], str]:
+    """The sort key and text ``sqrt(<radicand>)`` of the root adjoined at ``level``.
 
-    Kept in the session's radical memo: a radicand never changes, so neither
-    does its canonical form.
+    The key is the radicand's depth and text.  Kept in the session's radical
+    memo: a radicand never changes, so neither does its canonical form.
     """
     entry = session._radicals.get(level)
     if entry is None:
         radicand = session.radicand_value(level)
-        arg = value_to_term(radicand)
-        entry = session._radicals[level] = ((radicand.depth, render(arg)), Sqrt(arg))
+        text = _text(radicand)
+        entry = session._radicals[level] = ((radicand.depth, text), f"sqrt({text})")
     return entry

@@ -3,12 +3,14 @@
 Two independent services live here:
 
 * **Closed terms.**  :func:`normalize_closed` composes parse → evaluate →
-  render, so a closed term prints as the canonical form of its value,
-  :func:`~meadows.exact.value_to_term` (re-exported here).  That form is
-  canonical only for a fixed order of adjoined roots: ``sqrt(6)`` and
-  ``sqrt(2)*sqrt(3)`` denote the same number but normalise to ``sqrt(6)``
-  and ``sqrt(2) * sqrt(3)``.  :func:`decide_closed_eq` decides equality
-  exactly, by evaluating both terms in one session.
+  print, so a closed term prints as the canonical form of its value, which
+  ``str`` writes straight from the value's coordinates;
+  :func:`~meadows.exact.value_to_term` (re-exported here) reads that text
+  back as a term.  That form is canonical only for a fixed order of
+  adjoined roots: ``sqrt(6)`` and ``sqrt(2)*sqrt(3)`` denote the same
+  number but normalise to ``sqrt(6)`` and ``sqrt(2) * sqrt(3)``.
+  :func:`decide_closed_eq` decides equality exactly, by evaluating both
+  terms in one session.
 
 * **Rewriting.**  :data:`REWRITE_RULES` is a list of oriented identities (all
   sound for the exact model); :func:`rewrite_simplify` applies them
