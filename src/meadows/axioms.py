@@ -36,22 +36,23 @@ says how many trials had their premises hold and how many were skipped (an
 equation has no premises); the tally counts the refutations, keeps the first
 :data:`MAX_FAILURES` and builds the :class:`CheckReport`.  An equation or
 conditional equation is compiled once per model kind into one Python loop
-over all its trials (``terms._compile``).  Both models pass a trial's
-values by position, in ``law.variables`` order: prime-field tuples,
-enumerated or sampled, or exact draws, each trial led by its fresh
-session, ``[session, v0, v1, ...]``.  The valuation dict is built only for a
-refuting trial.  The compiled code lives as long as the law.
+over all its trials (``terms._compile``), which the law itself holds, so the
+code lives exactly as long as the law.  Both models pass a trial's values by
+position, in ``law.variables`` order: prime-field tuples, enumerated or
+sampled, or exact draws, each trial led by its fresh session,
+``[session, v0, v1, ...]``.  The valuation dict is built only for a refuting
+trial.  One function, ``_random_valuation``, draws every exact trial, for
+laws, propagation and the complex suites alike.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Union
-from weakref import finalize
 
 from .complexes import Complex
 from .exact import Real, Session
@@ -99,6 +100,13 @@ class Equation:
     def statement(self) -> str:
         return f"{render(self.lhs)} == {render(self.rhs)}"
 
+    @cached_property
+    def _loops(self) -> dict[bool, Callable]:
+        return {}  # the compiled trial loop by model kind (exact or not)
+
+    def __getstate__(self) -> dict:  # compiled code cannot be pickled; a copy compiles its own
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def __str__(self) -> str:
         return f"{self.name}: {self.statement}"
 
@@ -128,7 +136,8 @@ class ConditionalEquation:
     rhs: Term
     strategy: Optional[str] = None
 
-    variables = Equation.variables
+    variables, _loops = Equation.variables, Equation._loops
+    __getstate__, __str__ = Equation.__getstate__, Equation.__str__
 
     def __post_init__(self) -> None:
         if self.strategy not in _STEERED_VARIABLES:
@@ -150,9 +159,6 @@ class ConditionalEquation:
         )
         return f"{guards} ==> {render(self.lhs)} == {render(self.rhs)}"
 
-    def __str__(self) -> str:
-        return f"{self.name}: {self.statement}"
-
 
 @dataclass(frozen=True)
 class ComplexLaw:
@@ -167,8 +173,7 @@ class ComplexLaw:
     statement: str
     fn: Callable[..., tuple[Complex, Complex]] = field(repr=False)
 
-    def __str__(self) -> str:
-        return f"{self.name}: {self.statement}"
+    __str__ = Equation.__str__
 
 
 Law = Union[Equation, ConditionalEquation, ComplexLaw]
@@ -375,103 +380,94 @@ def _complex_restricted_laws() -> tuple[ComplexLaw, ...]:
     )
 
 
-_CATALOG: Optional[Catalog] = None
-
-
+@cache
 def catalog() -> Catalog:
     """The (cached) law catalog."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = Catalog(
-            Md=(
-                _eq("add-associative", "(x + y) + z", "x + (y + z)"),
-                _eq("add-commutative", "x + y", "y + x"),
-                _eq("add-zero-identity", "x + 0", "x"),
-                _eq("add-negation", "x + (-x)", "0"),
-                _eq("mul-associative", "(x * y) * z", "x * (y * z)"),
-                _eq("mul-commutative", "x * y", "y * x"),
-                _eq("mul-one-identity", "1 * x", "x"),
-                _eq("mul-distributes-over-add", "x * (y + z)", "x * y + x * z"),
-                _eq("inv-involution", "inv(inv(x))", "x"),
-                _eq("restricted-inverse-law", "x * (x * inv(x))", "x"),
+    return Catalog(
+        Md=(
+            _eq("add-associative", "(x + y) + z", "x + (y + z)"),
+            _eq("add-commutative", "x + y", "y + x"),
+            _eq("add-zero-identity", "x + 0", "x"),
+            _eq("add-negation", "x + (-x)", "0"),
+            _eq("mul-associative", "(x * y) * z", "x * (y * z)"),
+            _eq("mul-commutative", "x * y", "y * x"),
+            _eq("mul-one-identity", "1 * x", "x"),
+            _eq("mul-distributes-over-add", "x * (y + z)", "x * y + x * z"),
+            _eq("inv-involution", "inv(inv(x))", "x"),
+            _eq("restricted-inverse-law", "x * (x * inv(x))", "x"),
+        ),
+        MdDerived=(
+            _eq("inv-one", "inv(1)", "1"),
+            _eq("inv-zero", "inv(0)", "0"),
+            _eq("inv-of-negation", "inv(-x)", "-inv(x)"),
+            _eq("inv-of-product", "inv(x * y)", "inv(x) * inv(y)"),
+            _eq("zero-absorbs", "0 * x", "0"),
+            _eq("negation-shifts-over-product", "x * (-y)", "-(x * y)"),
+            _eq("negation-involution", "-(-x)", "x"),
+        ),
+        PseudoLaws=(
+            _eq("pseudo-partition", f"{_pz('t')} + {_pu('t')}", "1"),
+            _eq("pseudo-unit-idempotent", f"({_pu('x')}) * ({_pu('x')})", _pu("x")),
+            _eq("pseudo-zero-idempotent", f"({_pz('x')}) * ({_pz('x')})", _pz("x")),
+        ),
+        Signs=(
+            _eq("sign-of-pseudo-unit", f"s({_pu('x')})", _pu("x")),
+            _eq("sign-of-pseudo-zero", f"s({_pz('x')})", _pz("x")),
+            _eq("sign-of-minus-one", "s(-1)", "-1"),
+            _eq("sign-of-inverse", "s(inv(x))", "s(x)"),
+            _eq("sign-of-product", "s(x * y)", "s(x) * s(y)"),
+            _eq("sign-addition-guard", f"({_pz('s(x) - s(y)')}) * (s(x + y) - s(x))", "0"),
+        ),
+        SignsDerived=(
+            _eq("sign-of-zero", "s(0)", "0"),
+            _eq("sign-of-one", "s(1)", "1"),
+            _eq("sign-idempotent", "s(s(x))", "s(x)"),
+            _cond(
+                "sign-addition-same-sign",
+                (("s(x)", "s(y)", "eq"),),
+                "s(x + y)",
+                "s(x)",
+                strategy="match-signs",
             ),
-            MdDerived=(
-                _eq("inv-one", "inv(1)", "1"),
-                _eq("inv-zero", "inv(0)", "0"),
-                _eq("inv-of-negation", "inv(-x)", "-inv(x)"),
-                _eq("inv-of-product", "inv(x * y)", "inv(x) * inv(y)"),
-                _eq("zero-absorbs", "0 * x", "0"),
-                _eq("negation-shifts-over-product", "x * (-y)", "-(x * y)"),
-                _eq("negation-involution", "-(-x)", "x"),
+        ),
+        ILCancellation=(
+            _cond(
+                "inverse-law-nonzero",
+                (("x", "0", "ne"),),
+                "x * inv(x)",
+                "1",
             ),
-            PseudoLaws=(
-                _eq("pseudo-partition", f"{_pz('t')} + {_pu('t')}", "1"),
-                _eq("pseudo-unit-idempotent", f"({_pu('x')}) * ({_pu('x')})", _pu("x")),
-                _eq("pseudo-zero-idempotent", f"({_pz('x')}) * ({_pz('x')})", _pz("x")),
+            _cond(
+                "cancellation-nonzero",
+                (("x", "0", "ne"), ("x * y", "x * z", "eq")),
+                "y",
+                "z",
+                strategy="match-products",
             ),
-            Signs=(
-                _eq("sign-of-pseudo-unit", f"s({_pu('x')})", _pu("x")),
-                _eq("sign-of-pseudo-zero", f"s({_pz('x')})", _pz("x")),
-                _eq("sign-of-minus-one", "s(-1)", "-1"),
-                _eq("sign-of-inverse", "s(inv(x))", "s(x)"),
-                _eq("sign-of-product", "s(x * y)", "s(x) * s(y)"),
-                _eq(
-                    "sign-addition-guard",
-                    f"({_pz('s(x) - s(y)')}) * (s(x + y) - s(x))",
-                    "0",
-                ),
+        ),
+        SquareRoots=(
+            _eq("sqrt-of-inverse", "sqrt(inv(x))", "inv(sqrt(x))"),
+            _eq("sqrt-of-product", "sqrt(x * y)", "sqrt(x) * sqrt(y)"),
+            _eq("sqrt-of-signed-square", "sqrt(x * x * s(x))", "x"),
+            _eq("sqrt-preserves-order", "s(sqrt(x) - sqrt(y))", "s(x - y)"),
+        ),
+        SqrtDerived=(
+            _eq("sqrt-of-sign", "sqrt(s(x))", "s(x)"),
+            _eq("sqrt-of-pseudo-unit", f"sqrt({_pu('x')})", _pu("x")),
+            _eq("sqrt-of-pseudo-zero", f"sqrt({_pz('x')})", _pz("x")),
+            _eq("sqrt-of-negation", "sqrt(-x)", "-sqrt(x)"),
+            _eq("sqrt-of-square", "sqrt(x * x)", "x * s(x)"),
+        ),
+        Showcase=(
+            _eq(
+                "showcase-quotient",
+                "sqrt(1 + b) / sqrt(1 - b^2)",
+                "s(1 + b)^2 / sqrt(1 - b)",
             ),
-            SignsDerived=(
-                _eq("sign-of-zero", "s(0)", "0"),
-                _eq("sign-of-one", "s(1)", "1"),
-                _eq("sign-idempotent", "s(s(x))", "s(x)"),
-                _cond(
-                    "sign-addition-same-sign",
-                    (("s(x)", "s(y)", "eq"),),
-                    "s(x + y)",
-                    "s(x)",
-                    strategy="match-signs",
-                ),
-            ),
-            ILCancellation=(
-                _cond(
-                    "inverse-law-nonzero",
-                    (("x", "0", "ne"),),
-                    "x * inv(x)",
-                    "1",
-                ),
-                _cond(
-                    "cancellation-nonzero",
-                    (("x", "0", "ne"), ("x * y", "x * z", "eq")),
-                    "y",
-                    "z",
-                    strategy="match-products",
-                ),
-            ),
-            SquareRoots=(
-                _eq("sqrt-of-inverse", "sqrt(inv(x))", "inv(sqrt(x))"),
-                _eq("sqrt-of-product", "sqrt(x * y)", "sqrt(x) * sqrt(y)"),
-                _eq("sqrt-of-signed-square", "sqrt(x * x * s(x))", "x"),
-                _eq("sqrt-preserves-order", "s(sqrt(x) - sqrt(y))", "s(x - y)"),
-            ),
-            SqrtDerived=(
-                _eq("sqrt-of-sign", "sqrt(s(x))", "s(x)"),
-                _eq("sqrt-of-pseudo-unit", f"sqrt({_pu('x')})", _pu("x")),
-                _eq("sqrt-of-pseudo-zero", f"sqrt({_pz('x')})", _pz("x")),
-                _eq("sqrt-of-negation", "sqrt(-x)", "-sqrt(x)"),
-                _eq("sqrt-of-square", "sqrt(x * x)", "x * s(x)"),
-            ),
-            Showcase=(
-                _eq(
-                    "showcase-quotient",
-                    "sqrt(1 + b) / sqrt(1 - b^2)",
-                    "s(1 + b)^2 / sqrt(1 - b)",
-                ),
-            ),
-            Complex=_complex_laws(),
-            ComplexRestricted=_complex_restricted_laws(),
-        )
-    return _CATALOG
+        ),
+        Complex=_complex_laws(),
+        ComplexRestricted=_complex_restricted_laws(),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -589,10 +585,10 @@ def _check(
     return report
 
 
-def _random_valuation(rng, nvars: int, strategy, trial: int) -> list:
+def _random_valuation(rng, nvars: int, strategy=None, trial: int = 0) -> list:
     """``[session, v0, v1, ...]``: ``nvars`` random exact values in a fresh
-    session; on odd trials ``strategy`` steers them so a conditional's
-    premises hold."""
+    session, the one draw of every exact trial; on odd trials ``strategy``
+    steers them so a conditional's premises hold."""
     session = Session()
     values = [session, *(random_value(rng, session) for _ in range(nvars))]
     if strategy is None or trial % 2 == 0:
@@ -611,24 +607,6 @@ def _random_valuation(rng, nvars: int, strategy, trial: int) -> list:
     return values
 
 
-# Each law's compiled trial loops by model kind (exact or not), keyed by the
-# law's id because hashing a law re-hashes every node of its terms.  A
-# finalizer drops the entry when the law is collected, before its id can be
-# reused, so an entry lives exactly as long as its law.
-_COMPILED: dict[int, dict[bool, Callable]] = {}
-
-
-def _compiled(law, exact: bool):
-    by_kind = _COMPILED.get(id(law))
-    if by_kind is None:
-        by_kind = _COMPILED[id(law)] = {}
-        finalize(law, _COMPILED.pop, id(law), None)
-    loop = by_kind.get(exact)
-    if loop is None:
-        loop = by_kind[exact] = _compile(law.variables, law.premises, law.lhs, law.rhs, exact)
-    return loop
-
-
 def _check_law(law, model, mode, trials, seed):
     """Run an equation or conditional equation's compiled loop over exact
     draws, each trial led by its fresh session, or over field tuples
@@ -645,7 +623,9 @@ def _check_law(law, model, mode, trials, seed):
     else:
         draw, p = random.Random(seed).randrange, resolved.p
         valuations = (tuple(draw(p) for _ in range(nvars)) for _ in range(trials))
-    loop = _compiled(law, exact)
+    loop = law._loops.get(exact)
+    if loop is None:
+        loop = law._loops[exact] = _compile(law.variables, law.premises, law.lhs, law.rhs, exact)
     return _check(
         lambda refute: loop(valuations, resolved, refute),
         law.name,
@@ -686,7 +666,6 @@ def check_conditional(
 def _propagation_trials(kind: str, fixed_context, trials: int, seed: int, refute):
     rng = random.Random(seed)
     for _ in range(trials):
-        session = Session()
         context = (
             fixed_context
             if fixed_context is not None
@@ -701,9 +680,9 @@ def _propagation_trials(kind: str, fixed_context, trials: int, seed: int, refute
         guard = parse(_pz(fresh) if kind == "zero" else _pu(fresh))
         lhs_term = Mul(guard, fill(context, plug))
         rhs_term = Mul(guard, fill(context, Mul(guard, plug)))
-        valuation = {
-            name: random_value(rng, session) for name in sorted(names | {fresh})
-        }
+        names = sorted(names | {fresh})
+        session, *values = _random_valuation(rng, len(names))
+        valuation = dict(zip(names, values))
         lhs = eval_exact(lhs_term, valuation, session)
         rhs = eval_exact(rhs_term, valuation, session)
         if lhs != rhs:  # a failure names its context and plugged term
@@ -746,11 +725,8 @@ def check_propagation(
 def _complex_trials(law: ComplexLaw, trials: int, seed: int, refute):
     rng = random.Random(seed)
     for _ in range(trials):
-        session = Session()
-        values = [
-            Complex(random_value(rng, session), random_value(rng, session))
-            for _ in range(law.nvars)
-        ]
+        session, *parts = _random_valuation(rng, 2 * law.nvars)
+        values = [Complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
         lhs, rhs = law.fn(session, *values)
         if lhs != rhs:
             refute({f"z{i + 1}": z for i, z in enumerate(values)}, lhs, rhs)

@@ -15,9 +15,8 @@ Two independent services live here:
 * **Rewriting.**  :data:`REWRITE_RULES` is a list of oriented identities (all
   sound for the exact model); :func:`rewrite_simplify` applies them
   leftmost-innermost until no rule fires.  At each node it tries only the
-  rules whose pattern root is the node's constructor (a bare-variable
-  pattern would match at every node), looked up in an index built at
-  import.  Every rule is strictly reducing under a fixed polynomial
+  rules whose pattern root is the node's constructor, looked up in an index
+  built at import.  Every rule is strictly reducing under a fixed polynomial
   interpretation of the constructors (leaves 2, neg/inv a+1, add a+b+1,
   mul a*b+1, sign a**2, sqrt 2a), so rewriting terminates without the step
   cap; the cap is only a safety net.
@@ -87,13 +86,9 @@ REWRITE_RULES: tuple[RewriteRule, ...] = (
 
 
 def _index(rules: tuple[RewriteRule, ...]) -> dict[type, tuple[RewriteRule, ...]]:
-    """Each term constructor to the rules that can match a node it builds, in
-    catalog order: those whose pattern root is that constructor, and those
-    whose pattern is a bare variable."""
-    return {
-        kind: tuple(r for r in rules if type(r.pattern) in (kind, Var))
-        for kind in _NODE_TYPES
-    }
+    """Each term constructor to the rules whose pattern root is that
+    constructor, in catalog order."""
+    return {kind: tuple(r for r in rules if type(r.pattern) is kind) for kind in _NODE_TYPES}
 
 
 _RULES_BY_ROOT = _index(REWRITE_RULES)

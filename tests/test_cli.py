@@ -168,7 +168,7 @@ def test_building_the_parser_leaves_the_catalog_unbuilt():
     script = (
         "from meadows import axioms, cli\n"
         "cli._build_parser()\n"
-        "print(axioms._CATALOG is None)\n"
+        "print(axioms.catalog.cache_info().currsize == 0)\n"
     )
     src = os.path.dirname(os.path.dirname(meadows.__file__))
     env = dict(os.environ, PYTHONPATH=src)
