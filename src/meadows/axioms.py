@@ -58,8 +58,8 @@ from .complexes import Complex
 from .exact import Real, Session
 from .finite import PrimeField
 from .terms import (
-    Mul,
     Term,
+    Var,
     _compile,
     eval_exact,
     eval_mod_p,
@@ -664,6 +664,7 @@ def check_conditional(
 
 
 def _propagation_trials(kind: str, fixed_context, trials: int, seed: int, refute):
+    guard = Real.pseudo_zero if kind == "zero" else Real.pseudo_unit
     rng = random.Random(seed)
     for _ in range(trials):
         context = (
@@ -677,14 +678,13 @@ def _propagation_trials(kind: str, fixed_context, trials: int, seed: int, refute
         while fresh in names:
             i += 1
             fresh = f"t{i}"
-        guard = parse(_pz(fresh) if kind == "zero" else _pu(fresh))
-        lhs_term = Mul(guard, fill(context, plug))
-        rhs_term = Mul(guard, fill(context, Mul(guard, plug)))
         names = sorted(names | {fresh})
         session, *values = _random_valuation(rng, len(names))
         valuation = dict(zip(names, values))
-        lhs = eval_exact(lhs_term, valuation, session)
-        rhs = eval_exact(rhs_term, valuation, session)
+        u, r = guard(valuation[fresh]), eval_exact(plug, valuation, session)
+        outer = fill(context, Var("[]"))  # the hole as a variable no parse can name
+        lhs = u * eval_exact(outer, {**valuation, "[]": r}, session)
+        rhs = u * eval_exact(outer, {**valuation, "[]": u * r}, session)
         if lhs != rhs:  # a failure names its context and plugged term
             valuation["[context]"] = render(context)
             valuation["[plug]"] = render(plug)
@@ -707,7 +707,8 @@ def check_propagation(
         u * C[r]  ==  u * C[u * r]
 
     over random contexts ``C`` (or ``fixed_context``) and plugged terms ``r``
-    of at most 7 nodes, and random valuations of all variables.
+    of at most 7 nodes, and random valuations of all variables.  ``u`` comes
+    from the kernel; a trial evaluates ``r`` once and ``C`` once per side.
     """
     if kind not in ("unit", "zero"):
         raise ValueError("kind must be 'unit' or 'zero'")

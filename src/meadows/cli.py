@@ -44,7 +44,7 @@ _SIGNATURES = {"m": SIGMA_M, "ms": SIGMA_MS, "mss": SIGMA_MSS}
 _TERM_OR_NUMBER = re.compile(r"-[^-]")
 
 
-def _emit(data: dict, as_json: bool, text_lines: Sequence[str]) -> None:
+def _emit(data: Optional[dict], as_json: bool, text_lines: Sequence[str]) -> None:
     if as_json:
         print(json.dumps(data, indent=2))
     else:
@@ -57,6 +57,7 @@ def _cmd_eval(args) -> int:
     value = eval_exact(parse(args.term), {}, session)
     canonical = str(value)
     decimal = value.approx_decimal(args.digits)
+    # The text never shows the sign, which can cost more than the rest.
     data = {
         "schema": "meadows.eval/1",
         "input": args.term,
@@ -64,15 +65,14 @@ def _cmd_eval(args) -> int:
         "decimal": decimal,
         "digits": args.digits,
         "sign": value.sign(),
-    }
+    } if args.json else None
     _emit(data, args.json, [f"canonical: {canonical}", f"decimal:   {decimal}"])
     return 0
 
 
 def _cmd_simplify(args) -> int:
     result = rewrite_simplify(parse(args.term), max_steps=args.steps)
-    data = result.as_dict()
-    data["input"] = args.term
+    data = {**result.as_dict(), "input": args.term} if args.json else None
     lines = [render(result.term)]
     if result.truncated:
         lines.append(f"(stopped after {result.steps} steps)")

@@ -719,7 +719,8 @@ def gen_random_term(
     constructors are picked uniformly from ``signature`` among those whose
     arity still fits in the remaining fuel, except that with probability
     ``0.3`` a leaf is emitted anyway, so leaves get ever more likely as fuel
-    runs out.
+    runs out.  The leaf list and the constructor lists (by remaining fuel,
+    each in name order) are built once per call and shared by every node.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
@@ -730,25 +731,22 @@ def gen_random_term(
         if not _IDENT_RE.fullmatch(name) or name in _FUNCTIONS:
             raise ValueError(f"{name!r} cannot be a variable name in the term syntax")
     r = rng if rng is not None else random.Random(seed)
-    return _gen(r, max_size, signature, tuple(variables))
+    unary = [_UNARY[op] for op in sorted(signature & _UNARY.keys())]
+    fits = ((), unary, unary + [_BINARY[op] for op in sorted(signature & _BINARY.keys())])
+    return _gen(r, max_size, fits, [ZERO, ONE, *map(Var, variables)])
 
 
-def _gen(r: random.Random, fuel: int, signature: frozenset, variables: tuple) -> Term:
-    ops: list[str] = []
-    if fuel >= 2:
-        ops += sorted(op for op in signature if op in _UNARY)
-    if fuel >= 3:
-        ops += sorted(op for op in signature if op in _BINARY)
+def _gen(r: random.Random, fuel: int, fits: tuple, leaves: list) -> Term:
+    """At most ``fuel`` nodes; ``fits[min(fuel, 3) - 1]`` are the constructors that fit."""
+    ops = fits[min(fuel, 3) - 1]
     if not ops or r.random() < _LEAF_WEIGHT:
-        leaves: list[Term] = [ZERO, ONE, *(Var(v) for v in variables)]
         return r.choice(leaves)
     op = r.choice(ops)
-    if op in _UNARY:
-        return _UNARY[op](_gen(r, fuel - 1, signature, variables))
+    if op not in _BINARY_NODES:
+        return op(_gen(r, fuel - 1, fits, leaves))
     left_fuel = r.randint(1, fuel - 2)
-    left = _gen(r, left_fuel, signature, variables)
-    right = _gen(r, fuel - 1 - left_fuel, signature, variables)
-    return _BINARY[op](left, right)
+    left = _gen(r, left_fuel, fits, leaves)
+    return op(left, _gen(r, fuel - 1 - left_fuel, fits, leaves))
 
 
 def gen_random_context(

@@ -3,7 +3,6 @@
 import ast
 import dataclasses
 import inspect
-import itertools
 
 import pytest
 
@@ -21,7 +20,7 @@ from meadows.axioms import (
     resolve_model,
     run_suite,
 )
-from meadows.exact import Session
+from meadows.exact import Real, Session
 from meadows.finite import NotPrimeError, PrimeField
 from meadows.terms import (
     HOLE,
@@ -361,13 +360,8 @@ class TestPropagation:
             check_propagation("both")
 
     def test_failures_name_the_context_and_plug(self, monkeypatch):
-        exact_eval, calls = axioms.eval_exact, itertools.count()
-
-        def skewed(term, valuation, session):  # every right-hand side is off by 1
-            value = exact_eval(term, valuation, session)
-            return value + 1 if next(calls) % 2 else value
-
-        monkeypatch.setattr(axioms, "eval_exact", skewed)
+        # Every trial refutes: the two sides of every trial compare unequal.
+        monkeypatch.setattr(Real, "__ne__", lambda a, b: True)
         context = parse("sqrt([] + x)")
         report = check_propagation("zero", trials=25, seed=1, fixed_context=context)
         assert report.failure_count == 25
@@ -378,6 +372,29 @@ class TestPropagation:
             assert names[:-2] == sorted(names[:-2])
             assert failure.valuation["[context]"] == "sqrt([] + x)"
             assert parse(failure.valuation["[plug]"]) is not None
+
+    def test_a_guard_that_is_not_idempotent_is_refuted(self, monkeypatch):
+        # With u = 2, u * (r + x) and u * (u * r + x) differ whenever r != 0,
+        # so the check must bind the hole to r on one side and u * r on the other.
+        def two(value):
+            return value._session.rational(2)
+
+        monkeypatch.setattr(Real, "pseudo_unit", two)
+        monkeypatch.setattr(Real, "pseudo_zero", two)
+        context = parse("[] + x")
+        for kind in ("unit", "zero"):
+            report = check_propagation(kind, trials=25, seed=1, fixed_context=context)
+            assert report.verdict == "fail"
+            assert report.failure_count > 0
+
+    def test_trials_parse_nothing(self, monkeypatch):
+        # The guard comes from the kernel, not from text parsed per trial.
+        def no_parse(source):
+            raise AssertionError(f"parsed {source!r}")
+
+        monkeypatch.setattr(axioms, "parse", no_parse)
+        for kind in ("unit", "zero"):
+            assert check_propagation(kind, trials=60, seed=3).verdict == "pass"
 
 
 class TestComplexSuites:

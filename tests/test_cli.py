@@ -10,6 +10,8 @@ import pytest
 
 import meadows
 from meadows.cli import main
+from meadows.exact import Real
+from meadows.simplify import SimplifyResult
 from meadows.terms import SIGMA_M, free_vars, parse, term_size
 
 
@@ -34,6 +36,15 @@ class TestEval:
         assert data["canonical"] == "1/2 * sqrt(2)"
         assert data["decimal"] == "0.70710678118654"
         assert data["sign"] == 1
+
+    def test_text_computes_no_sign(self, capsys, monkeypatch):
+        def no_sign(value):
+            raise AssertionError("only the JSON document has a sign")
+
+        monkeypatch.setattr(Real, "sign", no_sign)
+        code, out, _ = run(capsys, "eval", "3/4")
+        assert code == 0
+        assert out == "canonical: 3/4\ndecimal:   0.7500000000\n"
 
     def test_digits_over_the_cap_are_bad_input(self, capsys):
         code, out, err = run(capsys, "eval", "--digits", "3000000", "1/3")
@@ -68,6 +79,14 @@ class TestSimplify:
         code, out, _ = run(capsys, "simplify", "inv(inv(inv(inv(x))))", "--steps", "1")
         assert code == 0
         assert "stopped after 1 steps" in out
+
+    def test_text_builds_no_trace(self, capsys, monkeypatch):
+        def no_trace(result):
+            raise AssertionError("only the JSON document has a trace")
+
+        monkeypatch.setattr(SimplifyResult, "as_dict", no_trace)
+        code, out, _ = run(capsys, "simplify", "inv(inv(x))")
+        assert (code, out) == (0, "x\n")
 
     def test_json_trace(self, capsys):
         code, out, _ = run(capsys, "simplify", "--json", "s(s(x * y))")

@@ -1,5 +1,7 @@
 """Term language tests: grammar, rendering, evaluation, generation."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -313,6 +315,25 @@ class TestGeneration:
         for seed in range(80):
             c = gen_random_context(seed, 10)
             assert sum(isinstance(n, type(HOLE)) for n in _walk(c)) == 1
+
+    def test_generated_terms_are_pinned(self):
+        # Every draw of the generator, in order, over each signature, seed and
+        # size below, plus one long ``rng=`` stream; a change to the order of
+        # draws or to the pick lists changes the digest.
+        digest = hashlib.sha256()
+        signatures = (SIGMA_M, SIGMA_MS, SIGMA_MSS, {"add"}, {"sqrt"}, set())
+        for signature in map(frozenset, signatures):
+            for seed in range(400):
+                for size in (1, 2, 3, 5, 9, 14, 30):
+                    for gen in (gen_random_term, gen_random_context):
+                        digest.update(render(gen(seed, size, signature)).encode() + b"\n")
+        rng = random.Random(20)
+        for i in range(2000):
+            gen = gen_random_context if i % 2 else gen_random_term
+            digest.update(render(gen(None, 1 + i % 30, rng=rng)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "8edeccf3b17772bc160f7888d3bfdcee329bd825e4df1290d572a9433425b7b7"
+        )
 
 
 def _walk(t):
