@@ -486,7 +486,12 @@ def resolve_model(model: Model):
     if model == "exact":
         return "exact"
     if isinstance(model, str) and model.startswith("fp:"):
-        return PrimeField(int(model[3:]))
+        try:
+            p = int(model[3:])
+        except ValueError:
+            pass
+        else:
+            return PrimeField(p)
     raise ValueError(f"unknown model {model!r}; use 'exact', 'fp:<p>', or a prime")
 
 

@@ -215,7 +215,9 @@ def _vsqrt_in_tower(tower: Session, y: tuple) -> Optional[tuple[tuple, int]]:
     ``(numerators, denominator)`` and is some root (not necessarily the
     positive one); callers normalize the sign.  Scaling an argument by a
     positive square never changes whether a root exists, which keeps every
-    recursive argument an integer vector.
+    recursive argument an integer vector.  Since ``y > 0``, every argument
+    of a recursive search is positive too, so the only signs taken are
+    those of the conjugate norm and of its root.
     """
     n = len(y)
     if n == 1:
@@ -252,14 +254,13 @@ def _vsqrt_in_tower(tower: Session, y: tuple) -> Optional[tuple[tuple, int]]:
     # One of (u+s)/2, (u-s)/2 equals a^2 (the other is b^2*r, never a lower
     # square since r is not).  With k == 2*sd, (u±s)/2 == p/k for the int
     # vector p == u*sd ± sn, and a == sqrt(p*k)/k.  b is recovered from
-    # v == 2ab.
+    # v == 2ab.  Both p are positive, and so is any root of p*k: y > 0 and
+    # u^2 > v^2*r give u > 0 and 0 < s < u, so neither needs a sign test.
     k = 2 * sd
     us = _vscale(u, sd)
     for p in (tuple(map(add, us, sn)), tuple(map(sub, us, sn))):
-        if not any(p) or _vsign(tower, p) < 0:
-            continue
         c = _vsqrt_in_tower(tower, _vscale(p, k))
-        if c is None or not any(c[0]):
+        if c is None:
             continue
         cn, cd = c[0], c[1] * k  # a == cn/cd
         # b == v/(2a) == v*cd*inv(cn)/2

@@ -180,8 +180,8 @@ def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
                 rule = None
             if rule is not None and not truncated:
                 trace.append((rule.name, tuple(len(f[3]) for f in frames[:-1])))
-                normal = {id(b): b for b in bindings.values()}
-                frames[-1] = [_replace(rule.replacement, bindings.get), normal, None, None]
+                t = _replace(rule.replacement, lambda n: bindings[n] if type(n) is Var else None)
+                frames[-1] = [t, {id(b): b for b in bindings.values()}, None, None]
                 continue
         # The frame's term is normal: it becomes its parent's next child.
         frames.pop()

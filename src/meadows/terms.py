@@ -28,10 +28,11 @@ work grows with a term's size and their frames do not grow with its depth:
 explicit caps such as :data:`MAX_EXPONENT` are the only limits.
 
 The parser reads the tokens in one pass of one regular expression, without
-their positions; a position is computed only for an error, by tokenizing
-the source again.  Within one parse, every occurrence of a literal or a name
-is the same node, so a parsed term may share its leaves; nodes are immutable
-and compared by structure, so a shared leaf acts as equal copies would.
+their positions; only an error makes a second pass of the same expression,
+to find where the failing token starts.  Within one parse, every occurrence
+of a literal or a name is the same node, so a parsed term may share its
+leaves; nodes are immutable and compared by structure, so a shared leaf acts
+as equal copies would.
 """
 
 from __future__ import annotations
@@ -201,28 +202,18 @@ _NAMES = {symbol: name for name, symbol in _FUNCTIONS.items()}
 MAX_EXPONENT = 10_000
 
 
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, position)`` for each token of ``src``, then ``eof``.
-
-    The kind is ``"int"``, ``"ident"``, ``"hole"`` or an operator's own text;
-    a stray character raises :class:`ParseError` at its position.
-    """
-    out = []
-    for m in _TOKEN_RE.finditer(src):
-        numeral, name, symbol = m.groups()
-        if numeral:
-            kind = "int"
-        elif name:
-            kind = "ident"
-        elif symbol == "[]":
-            kind = "hole"
-        elif symbol in "-+*/^()":
-            kind = symbol
-        else:
-            raise ParseError(f"unexpected character {symbol!r}", m.start(3))
-        out.append((kind, m.group(m.lastindex), m.start(m.lastindex)))
-    out.append(("eof", "", len(src)))
-    return out
+def _error(src: str, message: str, index: int) -> ParseError:
+    """The error for ``message`` at token ``index`` of ``src`` (at
+    ``len(src)`` past the last token), unless ``src`` has a stray character:
+    then the error is at the first one, wherever it is."""
+    position = len(src)
+    for k, m in enumerate(_TOKEN_RE.finditer(src)):
+        symbol = m.group(3)
+        if symbol and symbol != "[]" and symbol not in "-+*/^()":
+            return ParseError(f"unexpected character {symbol!r}", m.start(3))
+        if k == index:
+            position = m.start(m.lastindex)
+    return ParseError(message, position)
 
 
 # How tightly each operator that waits on the parser's stack binds ("neg" is
@@ -241,8 +232,8 @@ def parse(src: str) -> Term:
 
     The loop reads ``_TOKEN_RE``'s ``(numeral, name, symbol)`` triples, one
     of them nonempty, which come without positions; an error is raised at
-    the first token that cannot continue, with its position from
-    :func:`_tokenize`, which raises first at a stray character.
+    the first token that cannot continue, through :func:`_error`, which
+    finds the token's position, or the first stray character, which wins.
     ``pending`` holds the operators not yet applied to ``operands`` and the
     open brackets (``"("`` or a function name), innermost last.  An operator
     is applied once one that binds no tighter follows it, or its bracket
@@ -264,7 +255,7 @@ def parse(src: str) -> Term:
             continue
         if name in _FUNCTIONS:
             if tokens[i][2] != "(":
-                raise ParseError(f"expected '(' after {name!r}", _tokenize(src)[i][2])
+                raise _error(src, f"expected '(' after {name!r}", i)
             pending.append(name)
             i += 1
             continue
@@ -284,7 +275,7 @@ def parse(src: str) -> Term:
         elif symbol == "[]":
             atom = HOLE
         else:
-            raise ParseError("expected a value", _tokenize(src)[i - 1][2])
+            raise _error(src, "expected a value", i - 1)
         operands.append(atom)
         # After an atom: at most one power, then an infix operator, which
         # asks for the next operand, or a ")", which completes another atom.
@@ -295,12 +286,10 @@ def parse(src: str) -> Term:
                 negative = tokens[i][2] == "-"
                 exponent = tokens[i + negative][0]
                 if not exponent:
-                    message = "exponent must be an integer literal"
-                    raise ParseError(message, _tokenize(src)[i + negative][2])
+                    raise _error(src, "exponent must be an integer literal", i + negative)
                 n = _parse_decimal(exponent)
                 if n > MAX_EXPONENT:
-                    message = f"exponent is over the cap of {MAX_EXPONENT}"
-                    raise ParseError(message, _tokenize(src)[i + negative][2])
+                    raise _error(src, f"exponent is over the cap of {MAX_EXPONENT}", i + negative)
                 base = operands[-1]
                 out = base if n else ONE  # inv(1) for ^-0 keeps the sugar faithful
                 for _ in range(n - 1):
@@ -324,7 +313,7 @@ def parse(src: str) -> Term:
                 return operands[0]
             else:
                 message = "expected ')'" if pending else "unexpected trailing input"
-                raise ParseError(message, _tokenize(src)[i - 1][2])
+                raise _error(src, message, i - 1)
 
 
 def _literal_term(key: Union[str, tuple[str, str]]) -> Term:

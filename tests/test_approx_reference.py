@@ -192,6 +192,16 @@ def test_sparse_depth_12_matches_reference(x):
     _assert_matches_reference(x)
 
 
+def test_a_radicand_too_near_zero_for_the_first_precision():
+    # 665857 - 470832 * sqrt(2) == 1 / (665857 + 470832 * sqrt(2)), under
+    # 10**-6: at 32 bits the root's radicand has a lower bound that is not
+    # positive, so its bounds wait for 64 bits.
+    s = Session()
+    x = (3 * (665857 - 470832 * s.rational(2).ssqrt())).ssqrt()
+    assert approx_decimal(x, 5) == "0.00150"
+    _assert_matches_reference(x)
+
+
 def test_rationals_and_zero_match_reference():
     s = Session()
     for x in (s.zero, s.rational(-7, 4), s.rational(-1, 10**8), s.rational(10**45, 7)):

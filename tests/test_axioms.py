@@ -110,6 +110,8 @@ class TestResolveModel:
         assert resolve_model("exact") == "exact"
         assert resolve_model(7) == PrimeField(7)
         assert resolve_model("fp:11") == PrimeField(11)
+        for model in ("fp: 7", "fp:+7", "fp:0_7", "fp:7\n"):  # whatever int() reads
+            assert resolve_model(model) == PrimeField(7)
         fp = PrimeField(5)
         assert resolve_model(fp) is fp
 
@@ -372,6 +374,25 @@ class TestPropagation:
             assert names[:-2] == sorted(names[:-2])
             assert failure.valuation["[context]"] == "sqrt([] + x)"
             assert parse(failure.valuation["[plug]"]) is not None
+
+    def test_the_guard_variable_avoids_the_context_names(self, monkeypatch):
+        # The guard u is taken of a fresh variable, "t" unless a trial's
+        # terms use it; this context uses "t" and "t1", so it is "t2".
+        guarded = []
+        pseudo_unit = Real.pseudo_unit
+
+        def recording(value):
+            guarded.append(str(value))
+            return pseudo_unit(value)
+
+        monkeypatch.setattr(Real, "pseudo_unit", recording)
+        monkeypatch.setattr(Real, "__ne__", lambda a, b: True)  # every trial refutes
+        context = parse("t * [] + t1")
+        report = check_propagation("unit", trials=5, seed=1, fixed_context=context)
+        assert report.failure_count == len(report.failures) == len(guarded) == 5
+        for failure, guard in zip(report.failures, guarded):
+            assert {"t", "t1", "t2"} <= set(failure.valuation)
+            assert failure.valuation["t2"] == guard
 
     def test_a_guard_that_is_not_idempotent_is_refuted(self, monkeypatch):
         # With u = 2, u * (r + x) and u * (u * r + x) differ whenever r != 0,

@@ -159,6 +159,14 @@ class TestCheck:
         assert code == 2
         assert "not a prime" in err
 
+    def test_malformed_modulus(self, capsys):
+        for model in ("fp:", "fp:x", "fp:2x"):
+            code, _, err = run(capsys, "check", "Md", "--model", model)
+            assert code == 2
+            assert err == (
+                f"error: unknown model {model!r}; use 'exact', 'fp:<p>', or a prime\n"
+            )
+
     def test_large_prime_modulus(self, capsys):
         # Trial division alone took seconds to accept this modulus.
         code, out, _ = run(

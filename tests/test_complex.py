@@ -1,6 +1,7 @@
 """Tests for the complex extension of the exact kernel."""
 
 import random
+from operator import add, mul, sub, truediv
 
 import pytest
 
@@ -82,6 +83,17 @@ class TestArithmetic:
         assert 1 - z == Complex.from_parts(s, 0, -1)
         assert z / 2 == Complex.from_parts(s, s.rational(1, 2), s.rational(1, 2))
         assert 1 / Complex.i(s) == -Complex.i(s)
+
+    def test_foreign_operands_are_not_implemented(self):
+        z, foreign = Complex.from_parts(Session(), 1, 2), object()
+        with pytest.raises(TypeError):
+            z + "a"
+        for op in (add, sub, mul, truediv):
+            with pytest.raises(TypeError):
+                op(z, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, z)
+        assert (z == foreign) is False and (z != foreign) is True
 
     def test_sessions_do_not_mix(self):
         a = Complex.from_parts(Session(), 1, 2)

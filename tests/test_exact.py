@@ -1,6 +1,7 @@
 """Kernel tests: tower arithmetic, totalized inverse/sign/root, dedup."""
 
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,19 @@ class TestSessionDiscipline:
         assert len(values) == 4
         assert s.rational(6).ssqrt() in values
 
+    def test_foreign_operands_are_not_implemented(self, s):
+        x, foreign = s.value(1), object()
+        with pytest.raises(TypeError):
+            x + "a"
+        for op in (add, sub, mul, truediv):
+            with pytest.raises(TypeError):
+                op(x, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, x)
+        with pytest.raises(TypeError):
+            x ** 0.5
+        assert (x == foreign) is False and (x != foreign) is True
+
     def test_powers(self, s):
         r2 = s.rational(2).ssqrt()
         assert r2**2 == 2
@@ -330,6 +344,18 @@ class TestSessionDiscipline:
         s._products = products + products
         with pytest.raises(TowerInvariantError, match="product table"):
             s.check_invariants()
+
+    def test_check_invariants_catches_a_bad_radicand(self):
+        s = Session()
+        s.rational(2).ssqrt()
+        s._radicands = ((2, 0),)
+        with pytest.raises(TowerInvariantError, match="level 1 radicand has wrong arity"):
+            s.check_invariants()
+        for radicand, fault in (((-2,), "is not positive"), ((4,), "is a lower square")):
+            s = Session()
+            s._adjoin(radicand)
+            with pytest.raises(TowerInvariantError, match=f"level 1 radicand {fault}"):
+                s.check_invariants()
 
     def test_rational_roots_are_not_memoized(self, s):
         s.rational(2).ssqrt()

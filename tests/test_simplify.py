@@ -30,6 +30,7 @@ from meadows.terms import (
     Neg,
     Sign,
     Sqrt,
+    Term,
     Var,
     _children,
     _rebuild,
@@ -289,6 +290,18 @@ class TestRewriteSimplify:
             alone = matches(s, 0, s)
             extra[leaves] = [matches(layered(s, k), k, s) - alone for k in (1, 10, 40)]
         assert extra[16] == extra[1024]
+
+    def test_building_a_replacement_hashes_no_term(self, monkeypatch):
+        # Only the replacement's variables are looked up in the bindings; a
+        # compound node's hash walks all of it, so none may be taken.
+        term = parse("sqrt(-s(x * y)) + s(s(x * y))")
+
+        def unhashable(self):
+            raise AssertionError(f"hashed {render(self)}")
+
+        monkeypatch.setattr(Term, "__hash__", unhashable)
+        result = rewrite_simplify(term)
+        assert render(result.term) == "-sqrt(s(x) * s(y)) + s(x) * s(y)"
 
     def test_preserves_semantics_on_random_terms(self):
         rng = random.Random(19)

@@ -2,9 +2,10 @@
 
 ``parse``, ``eval_exact`` and ``eval_mod_p`` run as explicit loops, so the
 stack they take does not grow with a term's depth.  The recursive-descent
-parser and the two recursive walks they replaced are kept below, verbatim,
-as the oracle, with the ``repr`` that ``dataclass`` writes; the code under
-test is reached as ``terms.parse`` and so on.
+parser with its own tokenizer, and the two recursive walks they replaced,
+are kept below, verbatim, as the oracle, with the ``repr`` that
+``dataclass`` writes; the code under test is reached as ``terms.parse`` and
+so on, and shares no tokenizer with it.
 On generated source strings, on those strings mutated, and on strings of
 random tokens, both parsers must give equal terms, or a ``ParseError`` with
 the same message and position.  On generated terms with holes, under
@@ -19,6 +20,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import count
 from typing import Mapping
@@ -52,7 +54,6 @@ from meadows.terms import (
     Sqrt,
     Term,
     Var,
-    _tokenize,
     _unevaluable,
     gen_random_context,
     gen_random_term,
@@ -75,6 +76,30 @@ def dataclass_repr(t: Term) -> str:
         for v in (getattr(t, f.name),)
     )
     return f"{type(t).__qualname__}({fields})"
+
+
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(
+    rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT})|(?P<hole>\[\])|(?P<op>[-+*/^()]))"
+)
+
+
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    out = []
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN_RE.match(src, pos)
+        if m is None:
+            stripped = src[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}", len(src) - len(stripped))
+        kind = m.lastgroup
+        text = m.group(kind)
+        out.append((kind if kind != "op" else text, text, m.start(kind)))
+        pos = m.end()
+    out.append(("eof", "", len(src)))
+    return out
 
 
 class _Parser:
@@ -360,6 +385,7 @@ def test_every_parse_error_is_reached():
         "x^--1": "exponent must be an integer literal (at position 3)",
         "x^10001": "exponent is over the cap of 10000 (at position 2)",
         "x + * y": "expected a value (at position 4)",
+        "x + * y $": "unexpected character '$' (at position 8)",
         "-": "expected a value (at position 1)",
     }
     for src, message in cases.items():

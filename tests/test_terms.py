@@ -184,6 +184,11 @@ class TestStructure:
         assert fill(c, ZERO) == Add(ZERO, ZERO)
         assert fill(parse("sqrt([] + 1)"), Var("q")) == parse("sqrt(q + 1)")
 
+    def test_comparing_with_a_foreign_object_is_not_implemented(self):
+        t = parse("x + 1")
+        assert t.__eq__(object()) is NotImplemented
+        assert (t == object()) is False and (t != "x + 1") is True
+
     def test_term_size(self):
         assert term_size(ZERO) == 1
         assert term_size(parse("x + y * z")) == 5
