@@ -54,6 +54,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Union
 
+from .approx import _parse_decimal
 from .complexes import Complex
 from .exact import Real, Session
 from .finite import PrimeField
@@ -164,8 +165,9 @@ class ConditionalEquation:
 class ComplexLaw:
     """A law of the complex extension, stated directly on model values.
 
-    ``fn(session, *values)`` returns the two sides to compare; ``nvars`` is
-    how many complex values it takes.
+    ``fn(*values)`` returns the two sides to compare; ``nvars`` is how many
+    complex values it takes.  A law that needs a constant builds it in its
+    values' session.
     """
 
     name: str
@@ -311,14 +313,14 @@ SUITE_NAMES = tuple(f.name for f in fields(Catalog)) + tuple(
 
 
 def _complex_laws() -> tuple[ComplexLaw, ...]:
-    def sign_via_real(session: Session, z: Complex):
+    def sign_via_real(z: Complex):
         return z.sign(), z.re_part().sign()
 
-    def sqrt_via_real(session: Session, z: Complex):
+    def sqrt_via_real(z: Complex):
         return z.ssqrt(), z.re_part().ssqrt()
 
-    def real_part_decomposition(session: Session, z: Complex):
-        half = Complex.from_parts(session, Fraction(1, 2))
+    def real_part_decomposition(z: Complex):
+        half = Complex.from_parts(z.session, Fraction(1, 2))
         return z.re_part(), (z + z.conj()) * half
 
     return (
@@ -336,19 +338,19 @@ def _complex_laws() -> tuple[ComplexLaw, ...]:
 
 
 def _complex_restricted_laws() -> tuple[ComplexLaw, ...]:
-    def sqrt_of_inverse(session: Session, z: Complex):
+    def sqrt_of_inverse(z: Complex):
         x = z.re_part()
         return x.inv().ssqrt(), x.ssqrt().inv()
 
-    def sqrt_of_product(session: Session, z: Complex, w: Complex):
+    def sqrt_of_product(z: Complex, w: Complex):
         x, y = z.re_part(), w.re_part()
         return (x * y).ssqrt(), x.ssqrt() * y.ssqrt()
 
-    def sqrt_of_signed_square(session: Session, z: Complex):
+    def sqrt_of_signed_square(z: Complex):
         x = z.re_part()
         return (x * x * x.sign()).ssqrt(), x
 
-    def sqrt_preserves_order(session: Session, z: Complex, w: Complex):
+    def sqrt_preserves_order(z: Complex, w: Complex):
         x, y = z.re_part(), w.re_part()
         return (x.ssqrt() - y.ssqrt()).sign(), (x - y).sign()
 
@@ -486,8 +488,11 @@ def resolve_model(model: Model):
     if model == "exact":
         return "exact"
     if isinstance(model, str) and model.startswith("fp:"):
+        digits = model[3:]
+        if digits.isascii() and digits.isdigit():  # any length, whatever the digit limit
+            return PrimeField(_parse_decimal(digits))
         try:
-            p = int(model[3:])
+            p = int(digits)
         except ValueError:
             pass
         else:
@@ -731,9 +736,9 @@ def check_propagation(
 def _complex_trials(law: ComplexLaw, trials: int, seed: int, refute):
     rng = random.Random(seed)
     for _ in range(trials):
-        session, *parts = _random_valuation(rng, 2 * law.nvars)
+        _, *parts = _random_valuation(rng, 2 * law.nvars)
         values = [Complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
-        lhs, rhs = law.fn(session, *values)
+        lhs, rhs = law.fn(*values)
         if lhs != rhs:
             refute({f"z{i + 1}": z for i, z in enumerate(values)}, lhs, rhs)
     return trials, 0

@@ -146,10 +146,8 @@ class Complex:
             return hash(self._re)
         return hash((self._re, self._im))
 
-    def serialize(self) -> str:
-        return f"complex({self._re.serialize()}, {self._im.serialize()})"
-
-    __str__ = serialize
+    def __str__(self) -> str:
+        return f"complex({self._re}, {self._im})"
 
     def __repr__(self) -> str:
-        return f"Complex({self.serialize()})"
+        return f"Complex({self})"

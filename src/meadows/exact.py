@@ -48,8 +48,7 @@ grows with the number of distinct such arguments and is never evicted.  A
 value prints as its canonical closed form ``q0 + q1 * sqrt(r1) + ...``,
 written as text straight from its coordinates (:func:`_text`); the session
 likewise keeps the text of each level's radical, so each radicand is
-rendered once per session.  :func:`value_to_term` reads that text back as a
-term.
+rendered once per session.
 
 Sessions are mutable (``ssqrt`` may adjoin a new level) and are meant to be
 confined to one thread; values from different sessions must never be mixed,
@@ -64,7 +63,7 @@ from operator import add, itemgetter, sub
 from typing import Optional, Union
 
 from .approx import approx_decimal
-from .terms import ZERO, Term, _literal, parse
+from .terms import _literal
 
 Scalar = Union[int, Fraction]
 
@@ -723,15 +722,12 @@ class Real:
         """
         return approx_decimal(self, digits)
 
-    def serialize(self) -> str:
-        """Canonical closed-term string, ``q0 + q1 * sqrt(r1) + ...``; see :func:`_text`."""
-        return _text(self)
-
     def __repr__(self) -> str:
-        return f"Real({self.serialize()})"
+        return f"Real({self})"
 
     def __str__(self) -> str:
-        return self.serialize()
+        """Canonical closed-term string, ``q0 + q1 * sqrt(r1) + ...``; see :func:`_text`."""
+        return _text(self)
 
 
 def _canonical(session: Session, num: tuple, den: int) -> Real:
@@ -743,11 +739,6 @@ def _canonical(session: Session, num: tuple, den: int) -> Real:
     value = object.__new__(Real)
     value._session, value._num, value._den = session, num, den
     return value
-
-
-def value_to_term(value: Real) -> Term:
-    """The canonical closed term denoting ``value``: ``str(value)`` read back; see :func:`_text`."""
-    return ZERO if value.is_zero() else parse(_text(value))
 
 
 def _text(value: Real) -> str:

@@ -32,6 +32,7 @@ class NotPrimeError(ValueError):
     def __init__(
         self, n: int, smallest_factor: Optional[int], witness: Optional[int] = None
     ) -> None:
+        n = _shown(n)
         if smallest_factor is not None:
             super().__init__(f"{n} is not a prime: divisible by {smallest_factor}")
         elif witness is not None:
@@ -39,6 +40,15 @@ class NotPrimeError(ValueError):
         else:
             super().__init__(f"{n} is not a prime (need p >= 2)")
         self.smallest_factor = smallest_factor
+
+
+def _shown(n: int) -> str:
+    """``n`` for a message: its decimal digits, or ``a <k>-bit number`` from
+    100 digits on, which keeps the message short and clear of CPython's
+    int-to-str digit limit."""
+    if -(10**99) < n < 10**99:
+        return str(n)
+    return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit number"
 
 
 _TRIAL_BOUND = 1000
@@ -72,7 +82,7 @@ def _smallest_factor(n: int) -> Optional[int]:
         return None
     if n >= _MILLER_RABIN_LIMIT:
         raise ValueError(
-            f"cannot decide whether {n} is prime: it has no factor up to "
+            f"cannot decide whether {_shown(n)} is prime: it has no factor up to "
             f"{_TRIAL_BOUND} and is at least {_MILLER_RABIN_LIMIT}"
         )
     q, s = _odd_part(n - 1)

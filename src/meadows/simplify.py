@@ -4,11 +4,10 @@ Two independent services live here:
 
 * **Closed terms.**  :func:`normalize_closed` composes parse → evaluate →
   print, so a closed term prints as the canonical form of its value, which
-  ``str`` writes straight from the value's coordinates;
-  :func:`~meadows.exact.value_to_term` (re-exported here) reads that text
-  back as a term.  That form is canonical only for a fixed order of
-  adjoined roots: ``sqrt(6)`` and ``sqrt(2)*sqrt(3)`` denote the same
-  number but normalise to ``sqrt(6)`` and ``sqrt(2) * sqrt(3)``.
+  ``str`` writes straight from the value's coordinates; :func:`value_to_term`
+  reads that text back as a term.  That form is canonical only for a fixed
+  order of adjoined roots: ``sqrt(6)`` and ``sqrt(2)*sqrt(3)`` denote the
+  same number but normalise to ``sqrt(6)`` and ``sqrt(2) * sqrt(3)``.
   :func:`decide_closed_eq` decides equality exactly, by evaluating both
   terms in one session.
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import Session, value_to_term
+from .exact import Real, Session
 from .terms import (
     _NODE_TYPES, Const, Term, Var, _children, _rebuild, _replace, eval_exact, parse, render,
 )
@@ -46,6 +45,11 @@ def decide_closed_eq(left: str, right: str) -> bool:
 def sign_of_closed(src: str) -> int:
     """The sign (-1, 0, or 1) of the number a closed term denotes."""
     return eval_exact(parse(src), {}, Session()).sign()
+
+
+def value_to_term(value: Real) -> Term:
+    """The canonical closed term denoting ``value``: ``str(value)`` read back."""
+    return parse(str(value))
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,11 @@ REWRITE_RULES: tuple[RewriteRule, ...] = (
 )
 
 
-def _index(rules: tuple[RewriteRule, ...]) -> dict[type, tuple[RewriteRule, ...]]:
-    """Each term constructor to the rules whose pattern root is that
-    constructor, in catalog order."""
-    return {kind: tuple(r for r in rules if type(r.pattern) is kind) for kind in _NODE_TYPES}
-
-
-_RULES_BY_ROOT = _index(REWRITE_RULES)
+# Each term constructor to the rules whose pattern root is that constructor,
+# in catalog order.
+_RULES_BY_ROOT = {
+    kind: tuple(r for r in REWRITE_RULES if type(r.pattern) is kind) for kind in _NODE_TYPES
+}
 
 
 def _match(pattern: Term, term: Term, bindings: dict[Var, Term]) -> bool:

@@ -66,7 +66,8 @@ __all__ = [
 class Term:
     """Base class for all term nodes. Nodes are immutable, with structural ``==``,
     hash and ``repr``, and pickle and copy as a flat post-order list; the
-    leaves keep the ``==``, hash and ``repr`` that ``dataclass`` writes for them."""
+    leaves keep the ``==``, hash and ``repr`` that ``dataclass`` writes for them,
+    except that ``Const`` writes its ``repr`` whatever the int-to-str digit limit."""
 
     __slots__ = ()
 
@@ -107,7 +108,7 @@ class Term:
         return _from_postorder, (keys,)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Const(Term):
     """A nonnegative rational literal (negatives are spelled ``Neg(Const(..))``)."""
 
@@ -120,6 +121,10 @@ class Const(Term):
             object.__setattr__(self, "value", v)
         if v.numerator < 0:
             raise ValueError("Const must be nonnegative; wrap a Neg around it")
+
+    def __repr__(self) -> str:
+        v = self.value
+        return f"Const(value=Fraction({_decimal(v.numerator)}, {_decimal(v.denominator)}))"
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import random
 
 import pytest
 
@@ -301,6 +302,23 @@ class TestRandomizedExact:
         )
         assert report.verdict == "pass"
         assert report.satisfied >= 80
+
+    def test_random_values_adjoin_no_root_past_depth_8(self):
+        s = Session()
+        for p in (2, 3, 5, 7, 11, 13, 17, 19):
+            s.rational(p).ssqrt()
+        rng = random.Random(5)
+        for _ in range(300):
+            axioms.random_value(rng, s)
+        assert s.depth == 8
+
+    def test_a_zero_first_factor_falls_back_to_one(self, monkeypatch):
+        # "match-products" needs x != 0; after 20 zero draws it takes x = 1
+        monkeypatch.setattr(axioms, "random_value", lambda rng, session: session.zero)
+        session, x, y, z = axioms._random_valuation(
+            random.Random(0), 3, "match-products", trial=1
+        )
+        assert x == session.one and y.is_zero() and z is y
 
     def test_exhaustive_on_exact_rejected(self):
         with pytest.raises(ValueError):

@@ -167,6 +167,18 @@ class TestCheck:
                 f"error: unknown model {model!r}; use 'exact', 'fp:<p>', or a prime\n"
             )
 
+    def test_a_modulus_longer_than_the_digit_limit_is_read(self, capsys):
+        # 4400 digits: more than CPython's default int-to-str limit of 4300
+        code, _, err = run(capsys, "check", "Md", "--model", "fp:" + "7" * 4400)
+        assert code == 2
+        assert err == "error: a 14617-bit number is not a prime: divisible by 7\n"
+        code, out, _ = run(
+            capsys, "check", "Md", "--model", "fp:" + "0" * 4400 + "7", "--trials", "5"
+        )
+        assert code == 0
+        assert out.endswith("10 laws checked, 0 failing valuations\n")
+        assert "over fp:7 (exhaustive" in out
+
     def test_large_prime_modulus(self, capsys):
         # Trial division alone took seconds to accept this modulus.
         code, out, _ = run(

@@ -357,6 +357,16 @@ class TestSessionDiscipline:
             with pytest.raises(TowerInvariantError, match=f"level 1 radicand {fault}"):
                 s.check_invariants()
 
+    def test_adjoin_rejects_a_radicand_of_the_wrong_arity(self):
+        s = Session()
+        with pytest.raises(TowerInvariantError, match="adjoined radicand has wrong arity"):
+            s._adjoin((2, 0))
+        s._adjoin((2,))
+        with pytest.raises(TowerInvariantError, match="adjoined radicand has wrong arity"):
+            s._adjoin((3,))
+        assert s.depth == 1
+        s.check_invariants()
+
     def test_rational_roots_are_not_memoized(self, s):
         s.rational(2).ssqrt()
         s.rational(3).ssqrt()

@@ -112,6 +112,26 @@ class TestPrimeField:
         assert exc.value.smallest_factor is None
         assert str(exc.value).endswith("(Miller–Rabin witness 2)")
 
+    def test_a_modulus_of_100_digits_is_named_by_its_bit_length(self):
+        # the messages stay short, and clear of CPython's int-to-str digit limit
+        for n, message in [
+            (10**99 - 1, f"{10**99 - 1} is not a prime: divisible by 3"),
+            (10**99, "a 329-bit number is not a prime: divisible by 2"),
+            (2 * 10**5000, "a 16611-bit number is not a prime: divisible by 2"),
+            (10**1400 + 1, "a 4651-bit number is not a prime: divisible by 17"),
+            (-(10**200), "a negative 665-bit number is not a prime (need p >= 2)"),
+        ]:
+            with pytest.raises(NotPrimeError) as exc:
+                PrimeField(n)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            PrimeField(1009**1700)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == (
+            "cannot decide whether a 16964-bit number is prime: it has no factor "
+            "up to 1000 and is at least 3317044064679887385961981"
+        )
+
     def test_field_arithmetic(self):
         fp = PrimeField(7)
         assert fp.add(5, 4) == 2

@@ -87,3 +87,14 @@ def test_only_exact_touches_the_radical_memo():
         if isinstance(node, ast.Attribute) and node.attr == "_radicals"
     }
     assert touching == {"exact"}
+
+
+def test_the_kernel_takes_only_literals_from_the_term_layer():
+    # printing a value is the kernel's job; reading it back as a term is not
+    names = [
+        alias.name
+        for node in _runtime_imports(_modules()["exact"])
+        if "terms" in _package_targets(node)
+        for alias in node.names
+    ]
+    assert names == ["_literal"]

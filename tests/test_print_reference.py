@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meadows.axioms import random_value
-from meadows.exact import Real, Session, value_to_term
-from meadows.simplify import normalize_closed
+from meadows.exact import Real, Session
+from meadows.simplify import normalize_closed, value_to_term
 from meadows.terms import ZERO, Add, Const, Mul, Neg, Sqrt, Term, eval_exact, parse, render
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17)

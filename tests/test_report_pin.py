@@ -43,7 +43,7 @@ KNOWN_FALSE = (
     ),
 )
 
-def _sqrt_of_product_full(session, z, w):
+def _sqrt_of_product_full(z, w):
     return (z * w).ssqrt(), z.ssqrt() * w.ssqrt()
 
 

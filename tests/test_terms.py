@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meadows.axioms import Equation
 from meadows.exact import Session
 from meadows.terms import (
     HOLE,
@@ -188,6 +189,18 @@ class TestStructure:
         t = parse("x + 1")
         assert t.__eq__(object()) is NotImplemented
         assert (t == object()) is False and (t != "x + 1") is True
+
+    def test_repr_of_a_literal_past_the_digit_limit(self):
+        big = "1" + "0" * 5000
+        want = f"Const(value=Fraction({big}, 1))"
+        assert repr(parse(big)) == want
+        assert repr(Equation("big", parse(big), ZERO)) == (
+            f"Equation(name='big', lhs={want}, rhs=Const(value=Fraction(0, 1)))"
+        )
+
+    @given(st.fractions(min_value=0, max_value=10**30, max_denominator=10**30))
+    def test_repr_of_a_literal_is_the_dataclass_text(self, q):
+        assert repr(Const(q)) == f"Const(value={q!r})"
 
     def test_term_size(self):
         assert term_size(ZERO) == 1
