@@ -48,6 +48,7 @@ laws, propagation and the complex suites alike.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from fractions import Fraction
@@ -62,6 +63,7 @@ from .terms import (
     Term,
     Var,
     _compile,
+    contains_hole,
     eval_exact,
     eval_mod_p,
     fill,
@@ -271,7 +273,8 @@ def _cond(
 
 @dataclass(frozen=True)
 class Catalog:
-    """All law suites, grouped and immutable."""
+    """All law suites, grouped and immutable: one field per suite, the
+    one-law :meth:`lagrange` suites last."""
 
     Md: tuple[Equation, ...]
     MdDerived: tuple[Equation, ...]
@@ -284,32 +287,29 @@ class Catalog:
     Showcase: tuple[Equation, ...]
     Complex: tuple[ComplexLaw, ...]
     ComplexRestricted: tuple[ComplexLaw, ...]
+    Lagrange1: tuple[Equation, ...]
+    Lagrange2: tuple[Equation, ...]
+    Lagrange3: tuple[Equation, ...]
+    Lagrange4: tuple[Equation, ...]
 
     def lagrange(self, n: int) -> tuple[Equation, ...]:
         """The n-variable sum-of-squares probe as a one-law suite."""
-        if n not in _LAGRANGE_SIZES:
+        if n not in (1, 2, 3, 4):
             raise ValueError("n must be between 1 and 4")
-        return self._suites[f"Lagrange{n}"]
+        return getattr(self, f"Lagrange{n}")
 
     def sets(self) -> dict[str, tuple[Law, ...]]:
         """Every runnable suite, by name (the registry the CLI exposes)."""
-        return dict(self._suites)
-
-    @cached_property
-    def _suites(self) -> dict[str, tuple[Law, ...]]:
-        named = {f.name: getattr(self, f.name) for f in fields(self)}
-        for n in _LAGRANGE_SIZES:
-            body = "1 + " + " + ".join(f"x{i} * x{i}" for i in range(1, n + 1))
-            law = _eq(f"lagrange-{n}", f"({body}) * inv({body})", "1")
-            named[f"Lagrange{n}"] = (law,)
-        return named
+        return {name: getattr(self, name) for name in SUITE_NAMES}
 
 
-_LAGRANGE_SIZES = range(1, 5)
 # Known without building the catalog, so the CLI's help text parses no law.
-SUITE_NAMES = tuple(f.name for f in fields(Catalog)) + tuple(
-    f"Lagrange{n}" for n in _LAGRANGE_SIZES
-)
+SUITE_NAMES = tuple(f.name for f in fields(Catalog))
+
+
+def _lagrange(n: int) -> tuple[Equation, ...]:
+    body = "1 + " + " + ".join(f"x{i} * x{i}" for i in range(1, n + 1))
+    return (_eq(f"lagrange-{n}", f"({body}) * inv({body})", "1"),)
 
 
 def _complex_laws() -> tuple[ComplexLaw, ...]:
@@ -469,6 +469,10 @@ def catalog() -> Catalog:
         ),
         Complex=_complex_laws(),
         ComplexRestricted=_complex_restricted_laws(),
+        Lagrange1=_lagrange(1),
+        Lagrange2=_lagrange(2),
+        Lagrange3=_lagrange(3),
+        Lagrange4=_lagrange(4),
     )
 
 
@@ -479,29 +483,33 @@ def catalog() -> Catalog:
 Model = Union[str, int, PrimeField]
 
 
+# The base-10 text ``int()`` reads: on a str pattern ``\d`` and ``\s`` are the
+# digits and spaces ``int()`` maps, but for U+001C..U+001F, which it refuses.
+# ``re`` compiles it at first use, so importing the package does not.
+_FP_MODEL = r"fp:[^\S\x1c-\x1f]*([+-]?)(\d(?:_?\d)*)[^\S\x1c-\x1f]*"
+
+
+def _shown(name) -> str:
+    """``repr(name)``, or for a str of over 100 characters its first 40 and its length."""
+    if isinstance(name, str) and len(name) > 100:
+        return f"{name[:40]!r}… ({len(name)} characters)"
+    return repr(name)
+
+
 def resolve_model(model: Model):
-    """``"exact"``, a prime, ``"fp:<p>"``, or a PrimeField instance."""
+    """``"exact"``, a prime, ``"fp:<p>"`` for any base-10 text ``<p>`` that
+    ``int()`` reads (of any length), or a PrimeField instance."""
     if isinstance(model, PrimeField):
         return model
     if isinstance(model, int):
         return PrimeField(model)
     if model == "exact":
         return "exact"
-    if isinstance(model, str) and model.startswith("fp:"):
-        digits = model[3:]
-        if digits.isascii() and digits.isdigit():  # any length, whatever the digit limit
-            return PrimeField(_parse_decimal(digits))
-        try:
-            p = int(digits)
-        except ValueError:
-            pass
-        else:
-            return PrimeField(p)
-    raise ValueError(f"unknown model {model!r}; use 'exact', 'fp:<p>', or a prime")
-
-
-def _model_name(resolved) -> str:
-    return "exact" if resolved == "exact" else f"fp:{resolved.p}"
+    m = re.fullmatch(_FP_MODEL, model) if isinstance(model, str) else None
+    if m is None:
+        raise ValueError(f"unknown model {_shown(model)}; use 'exact', 'fp:<p>', or a prime")
+    p = _parse_decimal(m[2].replace("_", ""))
+    return PrimeField(-p if m[1] == "-" else p)
 
 
 # What ``random_value`` draws from.  ``rng.choice(range(a, b + 1))`` draws
@@ -535,11 +543,6 @@ def random_value(rng: random.Random, session: Session) -> Real:
         else:
             value = value * session.rational(choice(_SHIFTS), choice(_SCALES))
     return value
-
-
-def _failure(valuation: dict, lhs, rhs) -> Failure:
-    shown = {name: str(value) for name, value in valuation.items()}
-    return Failure(shown, str(lhs), str(rhs))
 
 
 # --------------------------------------------------------------------------
@@ -584,15 +587,14 @@ def _check(
         nonlocal count
         count += 1
         if len(failures) < MAX_FAILURES:
-            failures.append(_failure(valuation, lhs, rhs))
+            shown = {var: str(value) for var, value in valuation.items()}
+            failures.append(Failure(shown, str(lhs), str(rhs)))
 
     satisfied, skipped = run(refute)
-    report = CheckReport(
-        name, statement, model, mode, satisfied + skipped, failures, count, seed=seed
+    counts = (satisfied, skipped) if conditional else (None, None)
+    return CheckReport(
+        name, statement, model, mode, satisfied + skipped, failures, count, *counts, seed
     )
-    if conditional:
-        report.satisfied, report.skipped = satisfied, skipped
-    return report
 
 
 def _random_valuation(rng, nvars: int, strategy=None, trial: int = 0) -> list:
@@ -640,7 +642,7 @@ def _check_law(law, model, mode, trials, seed):
         lambda refute: loop(valuations, resolved, refute),
         law.name,
         law.statement,
-        _model_name(resolved),
+        "exact" if exact else f"fp:{resolved.p}",
         picked,
         trials,
         None if picked == "exhaustive" else seed,
@@ -719,9 +721,12 @@ def check_propagation(
     over random contexts ``C`` (or ``fixed_context``) and plugged terms ``r``
     of at most 7 nodes, and random valuations of all variables.  ``u`` comes
     from the kernel; a trial evaluates ``r`` once and ``C`` once per side.
+    A ``fixed_context`` with no hole ``[]`` raises ``ValueError``.
     """
     if kind not in ("unit", "zero"):
         raise ValueError("kind must be 'unit' or 'zero'")
+    if fixed_context is not None and not contains_hole(fixed_context):
+        raise ValueError("fixed_context has no hole []")
     return _check(
         lambda refute: _propagation_trials(kind, fixed_context, trials, seed, refute),
         f"propagation-{kind}",
@@ -771,7 +776,7 @@ def run_suite(
     suites = catalog().sets()
     if name not in suites:
         known = ", ".join(sorted(suites))
-        raise ValueError(f"unknown suite {name!r}; known suites: {known}")
+        raise ValueError(f"unknown suite {_shown(name)}; known suites: {known}")
     resolved = resolve_model(model)  # once: building a field tests p for primality
     reports = []
     for law in suites[name]:

@@ -216,7 +216,8 @@ def _vsqrt_in_tower(tower: Session, y: tuple) -> Optional[tuple[tuple, int]]:
     positive square never changes whether a root exists, which keeps every
     recursive argument an integer vector.  Since ``y > 0``, every argument
     of a recursive search is positive too, so the only signs taken are
-    those of the conjugate norm and of its root.
+    those of the conjugate norm and of its root.  A root the search builds
+    squares to ``y`` by construction, so no product checks it.
     """
     n = len(y)
     if n == 1:
@@ -262,12 +263,14 @@ def _vsqrt_in_tower(tower: Session, y: tuple) -> Optional[tuple[tuple, int]]:
         if c is None:
             continue
         cn, cd = c[0], c[1] * k  # a == cn/cd
-        # b == v/(2a) == v*cd*inv(cn)/2
+        # b == v/(2a) == v*cd*inv(cn)/2, so root/den == a + (v/2a)*sqrt(r).
+        # It squares to y with no check: (v/2a)^2*r == v^2*r / (2(u ± s))
+        # == (u^2 - s^2) / (2(u ± s)) == (u ∓ s)/2, so the square is
+        # a^2 + (u ∓ s)/2 + v*sqrt(r) == u + v*sqrt(r), for either sign.
         inv_n, inv_d = _vinv(tower, cn)
         den = 2 * cd * inv_d
         root = _vscale(cn, 2 * inv_d) + _vscale(_vmul(tower, v, inv_n), cd * cd)
-        if _vmul(tower, root, root) == _vscale(y, den * den):
-            return _reduced(root, den)
+        return _reduced(root, den)
     return None
 
 
@@ -452,9 +455,10 @@ class Real:
 
     ``Real(session, num, den)`` is the value ``num/den`` for an int vector
     ``num`` of power-of-two length and a positive int ``den``; it is brought
-    to canonical form.  A bad length or a nonpositive ``den`` raises
-    ``ValueError``, a non-int coordinate ``TypeError``.  Values are normally
-    made through the session.
+    to canonical form.  A length that is not a power of two or, once zero
+    top halves are trimmed, exceeds the session's tower, or a nonpositive
+    ``den``, raises ``ValueError``; a non-int coordinate ``TypeError``.
+    Values are normally made through the session.
     """
 
     __slots__ = ("_session", "_num", "_den")
@@ -470,6 +474,8 @@ class Real:
         while n > 1 and not any(num[n // 2 :]):
             n //= 2
             num = num[:n]
+        if n > 1 << len(session._radicands):
+            raise ValueError("coordinate vector is longer than the session's tower")
         try:
             g = gcd(den, *num)
         except TypeError:
@@ -614,9 +620,6 @@ class Real:
 
     def sign(self) -> SignValue:
         """Exact sign in {-1, 0, +1}; 0 only for the zero value."""
-        if len(self._num) == 1:
-            c = self._num[0]
-            return (c > 0) - (c < 0)
         return _vsign(self._session, self._num)
 
     def compare(self, other: Union[Real, Scalar]) -> SignValue:

@@ -202,6 +202,23 @@ def test_a_radicand_too_near_zero_for_the_first_precision():
     _assert_matches_reference(x)
 
 
+def test_an_enclosure_that_straddles_zero_is_refined():
+    # about -1.6e-12: at 32 bits the enclosure has lo < 0 < hi, so neither
+    # sign's truncation applies; at 64 bits it is negative
+    s = Session()
+    x = s.rational(2).ssqrt() - s.rational(665857, 470832)
+    assert approx_decimal(x, 3) == "0.000"
+    _assert_matches_reference(x)
+
+
+def test_a_negative_value_whose_last_digit_needs_a_second_refinement():
+    # at 32 bits the bounds of -10**9 * sqrt(2) truncate to different digits
+    s = Session()
+    x = -(10**9 * s.rational(2).ssqrt())
+    assert approx_decimal(x, 3) == "-1414213562.373"
+    _assert_matches_reference(x)
+
+
 def test_rationals_and_zero_match_reference():
     s = Session()
     for x in (s.zero, s.rational(-7, 4), s.rational(-1, 10**8), s.rational(10**45, 7)):

@@ -78,6 +78,10 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog().lagrange(5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lagrange_suites_are_catalog_fields(self, n):
+        assert catalog().lagrange(n) is catalog().sets()[f"Lagrange{n}"]
+
     def test_statements_render(self):
         law = catalog().Md[9]
         assert str(law) == "restricted-inverse-law: x * (x * inv(x)) == x"
@@ -115,6 +119,35 @@ class TestResolveModel:
             assert resolve_model(model) == PrimeField(7)
         fp = PrimeField(5)
         assert resolve_model(fp) is fp
+
+    @pytest.mark.parametrize(
+        "model",
+        ["fp:7", "fp: 7", "fp:+7", "fp:0_7", "fp:\t+0007\n"]
+        # an Arabic-Indic 7, a no-break space, a full-width 7
+        + ["fp:\u0667", "fp:\xa07", "fp:\uff17"],
+    )
+    def test_every_form_int_reads_resolves(self, model):
+        assert resolve_model(model) == PrimeField(7)
+
+    @pytest.mark.parametrize(
+        "model",
+        ["fp:", "fp:x", "fp:2x", "fp:_7", "fp:7_", "fp:7__7", "fp:+-7", "fp:- 7", "fp:1e3"]
+        + ["fp:\xb2", "fp:\x1c7", "fp:\x1d7", "fp:\x1e7", "fp:\x1f7"],
+    )
+    def test_every_form_int_refuses_is_an_unknown_model(self, model):
+        with pytest.raises(ValueError, match="^unknown model "):
+            resolve_model(model)
+
+    def test_a_negative_modulus_is_not_a_prime(self):
+        with pytest.raises(NotPrimeError, match=r"^-7 is not a prime \(need p >= 2\)$"):
+            resolve_model("fp:-7")
+
+    @pytest.mark.parametrize("prefix", ["fp:+", "fp: "])
+    def test_a_signed_or_spaced_modulus_past_the_digit_limit_is_read(self, prefix):
+        # 4400 digits: more than CPython's default int-to-str limit of 4300
+        message = "^a 14617-bit number is not a prime: divisible by 7$"
+        with pytest.raises(NotPrimeError, match=message):
+            resolve_model(prefix + "7" * 4400)
 
     def test_rejects(self):
         with pytest.raises(ValueError):
@@ -378,6 +411,11 @@ class TestPropagation:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             check_propagation("both")
+
+    def test_a_context_without_a_hole_is_refused(self):
+        # u * C == u * C holds for any C, so such a check would prove nothing.
+        with pytest.raises(ValueError, match="no hole"):
+            check_propagation("unit", trials=5, fixed_context=parse("x + 1"))
 
     def test_failures_name_the_context_and_plug(self, monkeypatch):
         # Every trial refutes: the two sides of every trial compare unequal.

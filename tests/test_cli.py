@@ -167,6 +167,23 @@ class TestCheck:
                 f"error: unknown model {model!r}; use 'exact', 'fp:<p>', or a prime\n"
             )
 
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (("check", "X" * 5000), f"suite {'X' * 40!r}… (5000 characters); known suites: "),
+            (
+                ("check", "Md", "--model", "fp:" + "x" * 5000),
+                f"model {'fp:' + 'x' * 37!r}… (5003 characters); use 'exact'",
+            ),
+        ],
+        ids=["suite", "model"],
+    )
+    def test_a_long_unknown_name_is_echoed_within_a_bound(self, capsys, argv, shown):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: unknown " + shown)
+        assert len(err.encode()) < 400
+
     def test_a_modulus_longer_than_the_digit_limit_is_read(self, capsys):
         # 4400 digits: more than CPython's default int-to-str limit of 4300
         code, _, err = run(capsys, "check", "Md", "--model", "fp:" + "7" * 4400)

@@ -1,5 +1,6 @@
 """Kernel tests: tower arithmetic, totalized inverse/sign/root, dedup."""
 
+import random
 from fractions import Fraction
 from operator import add, mul, sub, truediv
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meadows.exact import Real, Session, SessionMismatch, TowerInvariantError
+from meadows import exact
+from meadows.axioms import random_value
+from meadows.exact import Real, Session, SessionMismatch, TowerInvariantError, _vmul
 
 
 @pytest.fixture()
@@ -179,6 +182,30 @@ class TestSignedSqrt:
             # root of x*x*s(x) recovers x, including for negatives and zero
             sgn = sess.rational(x.sign())
             assert (x * x * sgn).ssqrt() == x
+            sess.check_invariants()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_every_root_the_tower_search_finds_squares_to_its_argument(self, seed):
+        # Roots of squares and shifted squares of values over nested roots,
+        # so the search recurses and builds roots a + (v/2a)*sqrt(r).
+        search = exact._vsqrt_in_tower
+
+        def checked(tower, y):
+            w = search(tower, y)
+            if w is not None:
+                num, den = w
+                assert _vmul(tower, num, num) == tuple(den * den * c for c in y)
+            return w
+
+        rng, sess = random.Random(seed), Session()
+        x0, x1, x2 = (random_value(rng, sess) for _ in range(3))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact, "_vsqrt_in_tower", checked)  # recursive calls too
+            a = x0.ssqrt() + x1
+            assert (a * a).ssqrt() == a * a.sign()
+            c = (x2 * x2 + a).ssqrt()
+            assert ((c + 1) ** 2).ssqrt() == (c + 1) * (c + 1).sign()
             sess.check_invariants()
 
 
@@ -377,6 +404,7 @@ class TestSessionDiscipline:
         assert len(s._roots) == memo
 
     def test_constructor_checks_its_arguments(self, s):
+        s.rational(2).ssqrt()
         x = Real(s, (2, 4, 0, 0), 6)
         assert x.coords == (Fraction(1, 3), Fraction(2, 3)) and x._den == 3
         with pytest.raises(ValueError):
@@ -387,6 +415,14 @@ class TestSessionDiscipline:
             Real(s, (Fraction(1, 2),))
         with pytest.raises(TypeError, match="int numerators"):
             Real(s, (1,), 2.0)
+
+    def test_a_vector_longer_than_the_tower_is_refused(self, s):
+        with pytest.raises(ValueError, match="longer than the session's tower"):
+            Real(s, (1, 1))
+        s.rational(2).ssqrt()
+        assert Real(s, (1, 1, 0, 0)) == 1 + s.rational(2).ssqrt()
+        with pytest.raises(ValueError, match="longer than the session's tower"):
+            Real(s, (1, 1, 1, 0))
 
     def test_radicand_value_roundtrip(self, s):
         s.rational(2).ssqrt()

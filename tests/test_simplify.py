@@ -175,6 +175,36 @@ class TestRewriteRules:
             assert report.verdict == "pass", str(report)
 
 
+def _interpretation(t: Term, env: dict) -> int:
+    """The polynomial interpretation under which the module docstring
+    claims every rule is strictly reducing."""
+    kind = type(t)
+    if kind is Var:
+        return env[t.name]
+    if kind in (Const, Hole):
+        return 2
+    a = [_interpretation(c, env) for c in _children(t)]
+    if kind is Add:
+        return a[0] + a[1] + 1
+    if kind is Mul:
+        return a[0] * a[1] + 1
+    if kind is Sign:
+        return a[0] ** 2
+    if kind is Sqrt:
+        return 2 * a[0]
+    return a[0] + 1  # Neg, Inv
+
+
+class TestRuleTermination:
+    @pytest.mark.parametrize("rule", REWRITE_RULES, ids=lambda r: r.name)
+    def test_every_rule_lowers_the_interpretation(self, rule):
+        for x in range(2, 30):
+            for y in range(2, 30):
+                env = {"x": x, "y": y}
+                pattern = _interpretation(rule.pattern, env)
+                assert pattern > _interpretation(rule.replacement, env), (x, y)
+
+
 class TestRuleIndex:
     CONSTRUCTORS = (Const, Var, Hole, Add, Mul, Neg, Inv, Sign, Sqrt)
 
