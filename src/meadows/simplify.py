@@ -14,8 +14,10 @@ Two independent services live here:
 * **Rewriting.**  :data:`REWRITE_RULES` is a list of oriented identities (all
   sound for the exact model); :func:`rewrite_simplify` applies them
   leftmost-innermost until no rule fires.  At each node it tries only the
-  rules whose pattern root is the node's constructor, looked up in an index
-  built at import.  Every rule is strictly reducing under a fixed polynomial
+  rules whose pattern root is the node's constructor, through one function
+  per constructor, generated at the first rewrite, that tests the node
+  against their patterns in catalog order and builds the first match's
+  replacement.  Every rule is strictly reducing under a fixed polynomial
   interpretation of the constructors (leaves 2, neg/inv a+1, add a+b+1,
   mul a*b+1, sign a**2, sqrt 2a), so rewriting terminates without the step
   cap; the cap is only a safety net.
@@ -24,10 +26,12 @@ Two independent services live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from typing import Callable, Optional
 
 from .exact import Real, Session
 from .terms import (
-    _NODE_TYPES, Const, Term, Var, _children, _rebuild, _replace, eval_exact, parse, render,
+    _NODE_TYPES, Const, Term, Var, _children, _fold, _rebuild, eval_exact, parse, render,
 )
 
 
@@ -96,26 +100,71 @@ _RULES_BY_ROOT = {
 }
 
 
-def _match(pattern: Term, term: Term, bindings: dict[Var, Term]) -> bool:
-    """First-order matching of ``term`` against ``pattern``.
+@cache
+def _matchers() -> dict[type, Callable[[Term], Optional[tuple]]]:
+    """Each term constructor to its compiled matcher, built at the first rewrite.
 
-    ``bindings`` maps each pattern variable (the ``Var`` node) to the subterm
-    it matched; repeated pattern variables must bind equal subterms.
+    A constructor's matcher takes a node of that constructor and tries the
+    node's rules of :data:`_RULES_BY_ROOT` in catalog order.  For the first
+    that matches it returns ``(rule name, replacement, bound subterms)``,
+    where the replacement is built directly from the subterms bound to the
+    rule's variables, and those are listed in the order the pattern first
+    reaches them.  It returns None when no rule matches.
+
+    Each pattern is walked in preorder on an explicit stack.  A compound or
+    constant node below the root becomes an inline ``type(...) is`` test, a
+    constant's value is compared with the pattern's ``Fraction``, and a
+    repeated variable is compared by ``==`` with the subterm its first
+    occurrence bound.  The replacement is written out by :func:`terms._fold`.
+    Besides field and local names, only rule names (through ``repr``),
+    constructor names and the names of namespace constants go into the source.
     """
-    kind = type(pattern)
-    if kind is Var:
-        if pattern in bindings:
-            return bindings[pattern] == term
-        bindings[pattern] = term
-        return True
-    if kind is not type(term):
-        return False
-    if kind is Const:
-        return pattern.value == term.value
-    for p, t in zip(_children(pattern), _children(term)):
-        if not _match(p, t, bindings):
-            return False
-    return True
+    namespace: dict = {kind.__name__: kind for kind in _NODE_TYPES}
+    bound: dict[str, str] = {}  # the current rule's variables -> their subterms
+
+    def constant(value: object) -> str:
+        name = f"k{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def leave(r: Term, *kids: str) -> str:
+        if type(r) is Var:
+            return bound[r.name]
+        if type(r) is Const:
+            return constant(r)
+        return f"{type(r).__name__}({', '.join(kids)})"
+
+    lines: list[str] = []
+    for kind, rules in _RULES_BY_ROOT.items():
+        lines.append(f"def match_{kind.__name__}(t):")
+        for rule in rules:
+            bound.clear()
+            tests: list[str] = []
+            stack = [(rule.pattern, "t")]  # pattern nodes with the subterms they must match
+            while stack:
+                p, expr = stack.pop()
+                node = type(p)
+                if node is Var:
+                    if p.name in bound:
+                        tests.append(f"{bound[p.name]} == {expr}")
+                    else:
+                        bound[p.name] = expr
+                    continue
+                if p is not rule.pattern:  # the matcher's own node needs no test
+                    local = f"n{len(tests)}"
+                    tests.append(f"type({local} := {expr}) is {node.__name__}")
+                    expr = local
+                if node is Const:
+                    tests.append(f"{expr}.value == {constant(p.value)}")
+                fields = zip(_children(p), node.__match_args__)
+                stack += [(c, f"{expr}.{field}") for c, field in fields][::-1]
+            replacement = _fold(rule.replacement, leave)
+            subterms = "".join(f"{e}, " for e in bound.values())
+            lines.append(f"    if {' and '.join(tests) or 'True'}:")
+            lines.append(f"        return {rule.name!r}, {replacement}, ({subterms})")
+        lines.append("    return None")
+    exec(compile("\n".join(lines) + "\n", "<compiled rules>", "exec"), namespace)
+    return {kind: namespace[f"match_{kind.__name__}"] for kind in _RULES_BY_ROOT}
 
 
 @dataclass(frozen=True)
@@ -152,6 +201,7 @@ def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
+    match = _matchers()
     trace: list[tuple[str, tuple[int, ...]]] = []
     truncated = False
     # One frame per node being normalised: [term, normal, children, normal
@@ -173,18 +223,14 @@ def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
         else:
             if any(a is not b for a, b in zip(new, kids)):
                 t = _rebuild(t, new)
-            for rule in _RULES_BY_ROOT[type(t)]:
-                bindings: dict[Var, Term] = {}
-                if _match(rule.pattern, t, bindings):
-                    truncated = len(trace) == max_steps
-                    break
-            else:
-                rule = None
-            if rule is not None and not truncated:
-                trace.append((rule.name, tuple(len(f[3]) for f in frames[:-1])))
-                t = _replace(rule.replacement, lambda n: bindings[n] if type(n) is Var else None)
-                frames[-1] = [t, {id(b): b for b in bindings.values()}, None, None]
-                continue
+            hit = match[type(t)](t)
+            if hit is not None:
+                truncated = len(trace) == max_steps
+                if not truncated:
+                    name, t, bound = hit
+                    trace.append((name, tuple(len(f[3]) for f in frames[:-1])))
+                    frames[-1] = [t, {id(b): b for b in bound}, None, None]
+                    continue
         # The frame's term is normal: it becomes its parent's next child.
         frames.pop()
         if not frames:

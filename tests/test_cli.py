@@ -234,6 +234,25 @@ def test_building_the_parser_leaves_the_catalog_unbuilt():
     assert out == "True\n"
 
 
+def test_check_and_eval_leave_the_rule_matchers_uncompiled():
+    script = (
+        "import contextlib, io\n"
+        "from meadows import cli, simplify\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['check', 'Md', '--model', 'fp:7'])\n"
+        "    cli.main(['eval', 'sqrt(2) + inv(0)'])\n"
+        "before = simplify._matchers.cache_info().currsize\n"
+        "simplify.rewrite_simplify(simplify.parse('inv(inv(x))'))\n"
+        "print(before, simplify._matchers.cache_info().currsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(meadows.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "0 1\n"
+
+
 def test_a_reused_parser_answers_like_a_fresh_one(capsys):
     from meadows import cli
 

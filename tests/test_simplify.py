@@ -1,5 +1,6 @@
 """Tests for canonical closed forms and the rewriting simplifier."""
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -13,7 +14,7 @@ from meadows.simplify import (
     REWRITE_RULES,
     SimplifyResult,
     _RULES_BY_ROOT,
-    _match,
+    _matchers,
     decide_closed_eq,
     normalize_closed,
     rewrite_simplify,
@@ -35,6 +36,7 @@ from meadows.terms import (
     _children,
     _rebuild,
     _replace,
+    _subterms,
     eval_exact,
     gen_random_term,
     parse,
@@ -42,6 +44,37 @@ from meadows.terms import (
 )
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "rewrite_golden.json"
+
+
+def _match(pattern, term, bindings):
+    """First-order matching of ``term`` against ``pattern``, by recursion.
+
+    ``bindings`` maps each pattern variable (the ``Var`` node) to the subterm
+    it matched; repeated pattern variables must bind equal subterms.  The
+    reference shares no matcher with :func:`rewrite_simplify`, whose
+    matchers are generated from the patterns.
+    """
+    kind = type(pattern)
+    if kind is Var:
+        if pattern in bindings:
+            return bindings[pattern] == term
+        bindings[pattern] = term
+        return True
+    if kind is not type(term):
+        return False
+    if kind is Const:
+        return pattern.value == term.value
+    return all(_match(p, t, bindings) for p, t in zip(_children(pattern), _children(term)))
+
+
+def _reference_hit(term):
+    """The first rule of the catalog that matches ``term`` at its root, as
+    ``(name, replacement, bound subterms)``, or None."""
+    for rule in REWRITE_RULES:
+        bindings = {}
+        if _match(rule.pattern, term, bindings):
+            return rule.name, _replace(rule.replacement, bindings.get), tuple(bindings.values())
+    return None
 
 
 def _rewrite_once(term, path):
@@ -55,10 +88,10 @@ def _rewrite_once(term, path):
                 term, tuple(new_child if j == i else c for j, c in enumerate(children))
             )
             return rebuilt, rule_name, where
-    for rule in REWRITE_RULES:
-        bindings = {}
-        if _match(rule.pattern, term, bindings):
-            return _replace(rule.replacement, bindings.get), rule.name, path
+    hit = _reference_hit(term)
+    if hit is not None:
+        rule_name, replacement, _ = hit
+        return replacement, rule_name, path
     return None
 
 
@@ -218,6 +251,55 @@ class TestRuleIndex:
             assert _RULES_BY_ROOT[kind] == expected, kind.__name__
 
 
+def _instances(rule):
+    """Instances of ``rule``'s pattern and near-misses of them.
+
+    Each leaf of the pattern becomes, in turn, each term of a small pool:
+    0, 1, 2, 1/2 or a variable where the pattern has a constant, and terms
+    that equal one another or not where it has a variable.  Every leaf is
+    parsed on its own, so a repeated variable binds equal but not identical
+    subterms; the instance's text, parsed again, shares its leaves.
+    """
+    leaf = (Const, Var)
+    pools = [
+        ("0", "1", "2", "1/2", "x") if type(n) is Const else ("x", "y", "0", "1", "x + 1", "s(x)")
+        for n in _subterms(rule.pattern)
+        if type(n) in leaf
+    ]
+    for choice in itertools.product(*pools):
+        picks = iter(choice)
+        term = _replace(rule.pattern, lambda n: parse(next(picks)) if type(n) in leaf else None)
+        yield term
+        yield parse(render(term))
+
+
+def test_compiled_matchers_agree_with_the_reference():
+    # At every node, the generated matcher and the reference pick the same
+    # first rule, build an equal replacement and bind the same subterms.
+    rng = random.Random(41)
+    terms = [gen_random_term(None, rng.randint(1, 14), rng=rng) for _ in range(300)]
+    for rule in REWRITE_RULES:
+        terms += _instances(rule)
+    near_misses = ("sqrt(x*y*s(x))", "sqrt((a+1)*(a+1)*s(a+1))", "sqrt((a+1)*(a+1)*s(a+2))")
+    terms += [parse(src) for src in near_misses]
+    terms += [parse(src) for src, _, _ in json.loads(GOLDEN.read_text())]
+    fired = set()
+    for term in terms:
+        for node in _subterms(term):
+            expected = _reference_hit(node)
+            hit = _matchers()[type(node)](node)
+            if expected is None:
+                assert hit is None, render(node)
+                continue
+            name, replacement, bound = hit
+            assert name == expected[0], render(node)
+            assert replacement == expected[1], render(node)
+            assert len(bound) == len(expected[2]), render(node)
+            assert all(a is b for a, b in zip(bound, expected[2])), render(node)
+            fired.add(name)
+    assert fired == {rule.name for rule in REWRITE_RULES}
+
+
 class TestRewriteSimplify:
     def test_frozen_traces(self):
         result = rewrite_simplify(parse("s(s(x * y))"))
@@ -289,12 +371,16 @@ class TestRewriteSimplify:
         # already: the layers must cost the same whatever the sum's size.
         calls = 0
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return _match(*args)
+        def counting(matcher):
+            def count(term):
+                nonlocal calls
+                calls += 1
+                return matcher(term)
 
-        monkeypatch.setattr(simplify, "_match", counting)
+            return count
+
+        counted = {kind: counting(matcher) for kind, matcher in _matchers().items()}
+        monkeypatch.setattr(simplify, "_matchers", lambda: counted)
 
         def matches(term, layers, normal_form):
             nonlocal calls
@@ -318,8 +404,10 @@ class TestRewriteSimplify:
         for leaves in (16, 1024):
             s = balanced(0, leaves)
             alone = matches(s, 0, s)
+            assert alone > 0
             extra[leaves] = [matches(layered(s, k), k, s) - alone for k in (1, 10, 40)]
         assert extra[16] == extra[1024]
+        assert all(n > 0 for n in extra[16])
 
     def test_building_a_replacement_hashes_no_term(self, monkeypatch):
         # Only the replacement's variables are looked up in the bindings; a
