@@ -204,33 +204,36 @@ def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
     match = _matchers()
     trace: list[tuple[str, tuple[int, ...]]] = []
     truncated = False
-    # One frame per node being normalised: [term, normal, children, normal
-    # forms of its children so far].  ``normal`` holds, by id, subterms known
-    # to be normal; holding them keeps each id bound to its term.  The
-    # children are None until the frame's term is due for them.  A frame's
-    # path is the number of finished children of each frame below it.
-    frames: list[list] = [[term, {}, None, None]]
+    # ``normal`` holds, by id, every subterm a fired rule bound: each lies in
+    # a node whose children are normal, so it is normal wherever it appears,
+    # and holding it keeps its id from naming another object.  Such a child,
+    # and any child after truncation, goes to its parent with no frame.  A
+    # frame is [term, len(trace) when it became due, children, their normal
+    # forms so far].  A step always puts a new object in place of the node it
+    # rewrites, so a node is rebuilt exactly when a step fired below it.  A
+    # frame's path is the number of finished children of each frame below it.
+    normal: dict[int, Term] = {}
+    frames: list[list] = [[term, 0, _children(term), []]]
     while True:
-        frame = frames[-1]
-        t, normal, kids, new = frame
-        if kids is None:
-            if not truncated and id(t) not in normal:
-                frame[2], frame[3] = _children(t), []
-                continue
-        elif len(new) < len(kids):
-            frames.append([kids[len(new)], normal, None, None])
+        t, steps, kids, new = frames[-1]
+        if len(new) < len(kids):
+            kid = kids[len(new)]
+            if truncated or id(kid) in normal:
+                new.append(kid)
+            else:
+                frames.append([kid, len(trace), _children(kid), []])
             continue
-        else:
-            if any(a is not b for a, b in zip(new, kids)):
-                t = _rebuild(t, new)
-            hit = match[type(t)](t)
-            if hit is not None:
-                truncated = len(trace) == max_steps
-                if not truncated:
-                    name, t, bound = hit
-                    trace.append((name, tuple(len(f[3]) for f in frames[:-1])))
-                    frames[-1] = [t, {id(b): b for b in bound}, None, None]
-                    continue
+        if len(trace) > steps:
+            t = _rebuild(t, new)
+        hit = match[type(t)](t)
+        if hit is not None:
+            truncated = len(trace) == max_steps
+            if not truncated:
+                name, t, bound = hit
+                trace.append((name, tuple(len(f[3]) for f in frames[:-1])))
+                normal.update((id(b), b) for b in bound)
+                frames[-1] = [t, len(trace), () if id(t) in normal else _children(t), []]
+                continue
         # The frame's term is normal: it becomes its parent's next child.
         frames.pop()
         if not frames:

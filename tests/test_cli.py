@@ -11,6 +11,7 @@ import pytest
 import meadows
 from meadows.cli import main
 from meadows.exact import Real
+from meadows.finite import MAX_SIEVE_LIMIT
 from meadows.simplify import SimplifyResult
 from meadows.terms import SIGMA_M, free_vars, parse, term_size
 
@@ -87,6 +88,10 @@ class TestSimplify:
         monkeypatch.setattr(SimplifyResult, "as_dict", no_trace)
         code, out, _ = run(capsys, "simplify", "inv(inv(x))")
         assert (code, out) == (0, "x\n")
+
+    def test_a_term_that_begins_with_two_minus_signs(self, capsys):
+        # argparse reads "--x" as an option; "--" ends the options.
+        assert run(capsys, "simplify", "--", "--x") == (0, "x\n", "")
 
     def test_json_trace(self, capsys):
         code, out, _ = run(capsys, "simplify", "--json", "s(s(x * y))")
@@ -302,6 +307,12 @@ class TestScanAndDemo:
         code, out, err = run(capsys, "scan-lagrange", "--n", "7", "--limit", "1")
         assert (code, out) == (2, "")
         assert err == "error: n must be between 1 and 4\n"
+
+    def test_scan_limit_over_the_cap_is_bad_input(self, capsys):
+        limit = str(MAX_SIEVE_LIMIT + 1)
+        code, out, err = run(capsys, "scan-lagrange", "--n", "1", "--limit", limit)
+        assert (code, out) == (2, "")
+        assert err == f"error: limit is over the cap of {MAX_SIEVE_LIMIT}\n"
 
     def test_f3_demo(self, capsys):
         code, out, _ = run(capsys, "f3-demo")

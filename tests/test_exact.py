@@ -264,6 +264,11 @@ class TestSessionDiscipline:
             Session().value(a)
         assert a.session.value(a) is a
 
+    def test_repr_and_unary_plus(self, s):
+        x = s.rational(2).ssqrt() + s.rational(3).ssqrt()
+        assert repr(s) == "Session(depth=2)"
+        assert +x is x
+
     def test_int_and_fraction_promotion(self, s):
         x = s.rational(1, 2)
         assert x + 1 == Fraction(3, 2)

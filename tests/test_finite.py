@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from meadows.axioms import F3Report, verify_f3_argument
 from meadows.finite import (
+    MAX_SIEVE_LIMIT,
     LagrangeResult,
     NotPrimeError,
     PrimeField,
@@ -219,6 +221,9 @@ class TestPrimesUpto:
     def test_count_to_10000(self):
         assert len(primes_upto(10_000)) == 1229
 
+    def test_count_to_the_cap(self):
+        assert len(primes_upto(MAX_SIEVE_LIMIT)) == 664_579
+
 
 class TestLagrangeProbe:
     def test_one_square_frozen(self):
@@ -278,6 +283,17 @@ class TestScan:
         for limit in (1, 30):
             with pytest.raises(ValueError, match="n must be between 1 and 4"):
                 scan_lagrange(n, limit)
+
+    @pytest.mark.parametrize("limit", [MAX_SIEVE_LIMIT + 1, 10**11])
+    def test_a_limit_over_the_cap_is_refused_before_the_sieve(self, limit):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"limit is over the cap of {MAX_SIEVE_LIMIT}"):
+                scan_lagrange(1, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a sieve would hold a byte per number
 
     def test_as_dict_shape(self):
         d = scan_lagrange(1, 10).as_dict()

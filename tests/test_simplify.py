@@ -348,6 +348,18 @@ class TestRewriteSimplify:
         terms = [gen_random_term(None, rng.randint(1, 14), rng=rng) for _ in range(400)]
         terms += [gen_random_term(None, rng.randint(1, 30), rng=rng) for _ in range(200)]
         terms += [parse(src) for src, _, _ in json.loads(GOLDEN.read_text())]
+        # parse and gen_random_term share only leaves.  These terms reuse
+        # compound nodes, so a subterm one step binds turns up again
+        # elsewhere, in the same term or in a replacement.
+        u = Sign(Mul(Var("x"), Var("y")))
+        terms += [Add(u, Mul(u, Inv(Inv(u)))), Mul(Inv(Inv(u)), Neg(Neg(Inv(Inv(u)))))]
+        for _ in range(150):
+            pool = [gen_random_term(None, rng.randint(1, 6), rng=rng) for _ in range(3)]
+            for _ in range(rng.randint(2, 8)):
+                kind = rng.choice([Add, Mul, Neg, Inv, Sign, Sqrt])
+                kids = [rng.choice(pool) for _ in range(2 if kind in (Add, Mul) else 1)]
+                pool.append(kind(*kids))
+            terms.append(pool[-1])
         for term in terms:
             for max_steps in (0, 1, 2, 3, 1000):
                 expected = restarting_rewrite(term, max_steps)
@@ -365,6 +377,14 @@ class TestRewriteSimplify:
         # just as the restarting loop does.
         term = parse(src)
         assert rewrite_simplify(term) == restarting_rewrite(term, 1000)
+
+    def test_a_subtree_where_no_rule_fires_is_returned_as_is(self):
+        big = parse("x * y + s(z) * sqrt(w + 1) - inv(x)")
+        w = Var("w")
+        result = rewrite_simplify(Add(big, Inv(Inv(w))))
+        assert result.term == Add(big, w) and result.term.left is big
+        term = parse("inv(inv(x)) + 0 * y")
+        assert rewrite_simplify(term, max_steps=0).term is term
 
     def test_bound_subterms_are_not_normalised_again(self, monkeypatch):
         # inv(inv(x)) -> x binds the whole sum below it, which is normal
