@@ -31,6 +31,8 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from .exact import Real
 
+__all__ = ["approx_decimal", "approx_fraction", "enclose"]
+
 _MAX_BITS = 1 << 20
 # The most digits that bounds over 2**_MAX_BITS can certify: 10**d <= 2**_MAX_BITS.
 _MAX_DIGITS = 315_652

@@ -74,6 +74,12 @@ from .terms import (
     render,
 )
 
+__all__ = [
+    "Equation", "ConditionalEquation", "ComplexLaw", "Failure", "CheckReport",
+    "Catalog", "catalog", "check_equation", "check_conditional", "check_complex_law",
+    "check_propagation", "run_suite", "random_value", "F3Report", "verify_f3_argument",
+]
+
 MAX_FAILURES = 20  # refuting valuations kept in a report; all are counted
 MAX_EXHAUSTIVE = 10**7  # finite checks enumerate at most this many valuations
 

@@ -20,7 +20,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .axioms import SUITE_NAMES, check_propagation, run_suite, verify_f3_argument
+from .axioms import SUITE_NAMES, _shown, check_propagation, run_suite, verify_f3_argument
 from .exact import Session
 from .finite import scan_lagrange
 from .simplify import decide_closed_eq, rewrite_simplify, sign_of_closed
@@ -42,6 +42,15 @@ _SIGNATURES = {"m": SIGMA_M, "ms": SIGMA_MS, "mss": SIGMA_MSS}
 # instead, and have no short options (help is only "--help"), so a term such
 # as "-sqrt(2)" or "-h" is an argument while "--bogus" is an unknown option.
 _TERM_OR_NUMBER = re.compile(r"-[^-]")
+
+
+def _int(text: str) -> int:
+    """``int(text)``, refused with the text shortened when it is long (argparse's
+    own ``type=int`` error echoes it whole, past CPython's int-to-str limit too)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
 
 
 def _emit(data: Optional[dict], as_json: bool, text_lines: Sequence[str]) -> None:
@@ -191,11 +200,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("eval", _cmd_eval, "evaluate a closed term exactly")
     p.add_argument("term")
-    p.add_argument("--digits", type=int, default=10, help="decimal digits (default 10)")
+    p.add_argument("--digits", type=_int, default=10, help="decimal digits (default 10)")
 
     p = command("simplify", _cmd_simplify, "rewrite a term to its simplified form")
     p.add_argument("term")
-    p.add_argument("--steps", type=int, default=1000, help="step budget (default 1000)")
+    p.add_argument("--steps", type=_int, default=1000, help="step budget (default 1000)")
 
     p = command("equal", _cmd_equal, "decide whether two closed terms are equal")
     p.add_argument("left")
@@ -209,8 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.add_argument("--model", default="exact", help="'exact' or 'fp:<prime>'")
     p.add_argument("--mode", choices=("exhaustive", "randomized"), default=None)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int, default=1000)
+    p.add_argument("--seed", type=_int, default=0)
 
     p = command(
         "propagation",
@@ -218,22 +227,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "check pseudo-unit/zero propagation through random contexts",
     )
     p.add_argument("--kind", choices=("unit", "zero"), required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int, default=1000)
+    p.add_argument("--seed", type=_int, default=0)
 
     p = command(
         "scan-lagrange",
         _cmd_scan_lagrange,
         "scan primes for the sum-of-squares inverse identity",
     )
-    p.add_argument("--n", type=int, required=True, help="number of squares (1-4)")
-    p.add_argument("--limit", type=int, required=True, help="scan primes <= limit")
+    p.add_argument("--n", type=_int, required=True, help="number of squares (1-4)")
+    p.add_argument("--limit", type=_int, required=True, help="scan primes <= limit")
 
     command("f3-demo", _cmd_f3_demo, "show the mod-3 separation argument")
 
     p = command("gen", _cmd_gen, "generate a reproducible random term")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--size", type=int, default=12, help="max node count (default 12)")
+    p.add_argument("--seed", type=_int, required=True)
+    p.add_argument("--size", type=_int, default=12, help="max node count (default 12)")
     p.add_argument("--vars", default="x,y", help="comma-separated variable names")
     p.add_argument(
         "--signature",

@@ -19,6 +19,8 @@ from typing import Optional, Union
 
 from .exact import Real, Session
 
+__all__ = ["Complex"]
+
 
 class Complex:
     """A complex number with exact constructible-real coordinates."""

@@ -65,6 +65,8 @@ from typing import Optional, Union
 from .approx import approx_decimal
 from .terms import _literal
 
+__all__ = ["Session", "Real", "SessionMismatch", "SignValue", "TowerInvariantError"]
+
 Scalar = Union[int, Fraction]
 
 #: A sign is one of -1, 0, +1.

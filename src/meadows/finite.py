@@ -24,6 +24,11 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Optional
 
+__all__ = [
+    "PrimeField", "NotPrimeError",
+    "LagrangeResult", "lagrange_holds", "ScanResult", "scan_lagrange", "primes_upto",
+]
+
 
 class NotPrimeError(ValueError):
     """Modulus rejected; carries the smallest witness factor when one was

@@ -34,6 +34,11 @@ from .terms import (
     _NODE_TYPES, Const, Term, Var, _children, _fold, _rebuild, eval_exact, parse, render,
 )
 
+__all__ = [
+    "value_to_term", "normalize_closed", "decide_closed_eq", "sign_of_closed",
+    "RewriteRule", "REWRITE_RULES", "SimplifyResult", "rewrite_simplify",
+]
+
 
 def normalize_closed(src: str) -> str:
     """Parse a closed term, evaluate it exactly, and render its canonical form."""
@@ -225,7 +230,7 @@ def rewrite_simplify(term: Term, max_steps: int = 1000) -> SimplifyResult:
             continue
         if len(trace) > steps:
             t = _rebuild(t, new)
-        hit = match[type(t)](t)
+        hit = None if truncated else match[type(t)](t)  # no step can fire now
         if hit is not None:
             truncated = len(trace) == max_steps
             if not truncated:

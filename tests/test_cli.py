@@ -403,6 +403,30 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --bogus" in err
 
+    @pytest.mark.parametrize(
+        "argv, option, shown",
+        [
+            (("eval", "1", "--digits", "x"), "--digits", "'x'"),
+            # 5000 digits: more than CPython's int-to-str limit, so int() refuses them
+            (
+                ("scan-lagrange", "--n", "1", "--limit", "7" * 5000),
+                "--limit",
+                f"{'7' * 40!r}… (5000 characters)",
+            ),
+            (
+                ("simplify", "--steps", "7" * 5000, "x"),
+                "--steps",
+                f"{'7' * 40!r}… (5000 characters)",
+            ),
+        ],
+        ids=["short", "long-limit", "long-steps"],
+    )
+    def test_a_bad_int_option_is_echoed_within_a_bound(self, capsys, argv, option, shown):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: invalid int value: {shown}\n")
+        assert len(err.encode()) < 400
+
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

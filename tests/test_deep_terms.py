@@ -14,6 +14,7 @@ import pytest
 
 from meadows.axioms import Equation, check_equation
 from meadows.exact import Session
+from meadows import simplify
 from meadows.simplify import rewrite_simplify
 from meadows.terms import (
     ONE,
@@ -87,6 +88,25 @@ def test_a_deep_chain_rewrites():
     assert result.trace[0][1] == (0, 0, 0, 0, 0, 0) * 1249
     capped = rewrite_simplify(parse(chain(BLOCK, 1250)))
     assert (capped.steps, capped.truncated) == (1000, True)
+
+
+def test_a_truncated_rewrite_matches_no_further_node(monkeypatch):
+    calls = []
+
+    def counted(matcher):
+        def match(t):
+            calls.append(t)
+            return matcher(t)
+        return match
+
+    matchers = {kind: counted(m) for kind, m in simplify._matchers().items()}
+    monkeypatch.setattr(simplify, "_matchers", lambda: matchers)
+    term = parse(chain(BLOCK, 1250))
+    result = rewrite_simplify(term, max_steps=0)
+    assert (result.term, result.steps, result.truncated) == (term, 0, True)
+    # y, x, y * x, 1, + 1, inv, -, s(...) and the first sqrt(s(...)), which
+    # would fire: the walk then finishes the ancestors without matching them
+    assert len(calls) == 9
 
 
 @pytest.mark.parametrize("opening", ["(", "inv(", "inv(("])

@@ -1,7 +1,13 @@
-"""The package's modules import one another in layers, and only at module level."""
+"""The package's modules import one another in layers, and only at module level.
+Each layer names its public objects once, in its ``__all__``, and the package
+re-exports exactly those."""
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
+
+import meadows
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "meadows"
 
@@ -17,6 +23,8 @@ RANK = {
     "cli": 5,
     "__init__": 6,
 }
+# The modules whose public names the package re-exports, in rank order.
+LAYERS = [name for name in sorted(RANK, key=RANK.get) if name not in ("cli", "__init__")]
 
 
 def _modules():
@@ -98,3 +106,59 @@ def test_the_kernel_takes_only_literals_from_the_term_layer():
         for alias in node.names
     ]
     assert names == ["_literal"]
+
+
+def _public_names(name):
+    return importlib.import_module(f"meadows.{name}").__all__
+
+
+def _top_level_bindings(tree):
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound.add(node.target.id)
+    return bound
+
+
+def test_every_layer_states_its_public_names():
+    modules = _modules()
+    assert [name for name in LAYERS if "__all__" not in _top_level_bindings(modules[name])] == []
+
+
+def test_a_layer_exports_only_what_it_defines():
+    modules = _modules()
+    borrowed = [
+        f"{name}.{public}"
+        for name in LAYERS
+        for public in _public_names(name)
+        if public not in _top_level_bindings(modules[name])
+    ]
+    assert borrowed == []
+
+
+def test_the_package_exports_the_layers_names_once():
+    stated = Counter(n for name in LAYERS for n in _public_names(name))
+    assert [n for n, count in stated.items() if count > 1] == []
+    assert len(meadows.__all__) == len(set(meadows.__all__))
+    assert set(meadows.__all__) == {"__version__", *stated}
+    # no per-name list in the package: it imports each layer by ``*``
+    imports = _runtime_imports(_modules()["__init__"])
+    assert [alias.name for node in imports for alias in node.names] == ["*"] * len(LAYERS)
+
+
+def test_a_star_import_binds_each_layers_own_objects():
+    namespace: dict = {}
+    exec("from meadows import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(meadows.__all__)
+    assert namespace.pop("__version__") is meadows.__version__
+    owner = {n: name for name in LAYERS for n in _public_names(name)}
+    assert [
+        n
+        for n, obj in namespace.items()
+        if obj is not getattr(importlib.import_module(f"meadows.{owner[n]}"), n)
+    ] == []
