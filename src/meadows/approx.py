@@ -33,8 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["approx_decimal", "approx_fraction", "enclose"]
 
+# The precision budget: refinement stops past bounds over 2**_MAX_BITS.
 _MAX_BITS = 1 << 20
-# The most digits that bounds over 2**_MAX_BITS can certify: 10**d <= 2**_MAX_BITS.
+# The cap on a request: 10**_MAX_DIGITS <= 2**_MAX_BITS.  A request under it
+# may still run out of the budget, since certifying its digits also takes
+# margin bits and bits for the value's magnitude.
 _MAX_DIGITS = 315_652
 
 # CPython refuses int<->str conversions above ``sys.get_int_max_str_digits()``
@@ -106,7 +109,8 @@ def _root_bounds(rads: tuple, depth: int, bits: int, memo: dict) -> Optional[lis
 def _refinements(value: Real, bits: int):
     """Enclosures ``(lo, hi, shift)`` of ``value`` as ``[lo, hi] / (den << shift)``.
 
-    The working precision starts at ``bits`` and doubles on every step.
+    The working precision starts at ``bits`` and doubles on every step; past
+    the budget of ``_MAX_BITS``, a ``ValueError`` ends the refinement.
     """
     rads = value.session._radicands
     num = value._num
@@ -118,7 +122,7 @@ def _refinements(value: Real, bits: int):
             lo, hi = _dot(num, roots, memo, bits)
             yield lo, hi, bits * depth
         bits *= 2
-    raise RuntimeError("interval refinement failed to converge")  # pragma: no cover
+    raise ValueError(f"the value needs more than the precision budget of {_MAX_BITS} bits")
 
 
 def enclose(value: Real, width: Fraction):

@@ -17,13 +17,16 @@ The catalog groups the algebraic laws of the package into named suites:
 * ``Showcase`` — one quotient identity whose two sides agree *everywhere*,
   including at the zeros of the denominators, thanks to totalization.
 * ``Complex`` / ``ComplexRestricted`` — laws of the complex extension, where
-  sign and root read only the real part.
+  sign and root read only the real part; the restricted ones are the
+  ``SquareRoots`` laws read on real parts.
 * ``lagrange(n)`` — ``(1 + sum of n squares) * inv(same) == 1``, the probe
   family that distinguishes models by which sums of squares can vanish.
 
-Equations and conditional equations are stated as terms over named variables;
-:func:`check_equation` and :func:`check_conditional` evaluate them either
-exhaustively (finite models) or on randomized valuations (exact model).
+Every law is stated as terms over named variables, a :class:`ComplexLaw`
+over five: two random complex values ``z1`` and ``z2``, their real parts
+``x1`` and ``x2``, and the conjugate ``c1`` of ``z1``.  :func:`check_equation`
+and :func:`check_conditional` evaluate the other laws either exhaustively
+(finite models) or on randomized valuations (exact model).
 :func:`check_propagation` tests that multiplying by a pseudo-unit or
 pseudo-zero propagates through arbitrary one-hole contexts, and
 :func:`check_complex_law` runs the complex suites.  :func:`run_suite`
@@ -34,12 +37,12 @@ All four checkers share one tally.  Each runs its trials and calls
 ``refute(valuation, lhs, rhs)`` for every trial whose two sides differ, then
 says how many trials had their premises hold and how many were skipped (an
 equation has no premises); the tally counts the refutations, keeps the first
-:data:`MAX_FAILURES` and builds the :class:`CheckReport`.  An equation or
-conditional equation is compiled once per model kind into one Python loop
+:data:`MAX_FAILURES` and builds the :class:`CheckReport`.  Each law is
+compiled once per model kind (exact, field or complex) into one Python loop
 over all its trials (``terms._compile``), which the law itself holds, so the
-code lives exactly as long as the law.  Both models pass a trial's values by
+code lives exactly as long as the law.  Every kind takes a trial's values by
 position, in ``law.variables`` order: prime-field tuples, enumerated or
-sampled, or exact draws, each trial led by its fresh session,
+sampled, or exact or complex values, each trial led by its fresh session,
 ``[session, v0, v1, ...]``.  The valuation dict is built only for a refuting
 trial.  One function, ``_random_valuation``, draws every exact trial, for
 laws, propagation and the complex suites alike.
@@ -49,9 +52,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Union
 
@@ -72,6 +74,7 @@ from .terms import (
     gen_random_term,
     parse,
     render,
+    substitute,
 )
 
 __all__ = [
@@ -110,8 +113,8 @@ class Equation:
         return f"{render(self.lhs)} == {render(self.rhs)}"
 
     @cached_property
-    def _loops(self) -> dict[bool, Callable]:
-        return {}  # the compiled trial loop by model kind (exact or not)
+    def _loops(self) -> dict[str, Callable]:
+        return {}  # the compiled trial loop by model kind ("exact", "field", "complex")
 
     def __getstate__(self) -> dict:  # compiled code cannot be pickled; a copy compiles its own
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -169,21 +172,45 @@ class ConditionalEquation:
         return f"{guards} ==> {render(self.lhs)} == {render(self.rhs)}"
 
 
+# How a complex law's statement prints its variables, and how a trial builds
+# each from its draw ``[session, re(z), im(z), re(w), im(w)]``.
+_SHOWN = {"z1": "z", "z2": "w", "x1": "re(z)", "x2": "re(w)", "c1": "conj(z)"}
+_BUILDS = {
+    "z1": lambda draw: Complex(draw[1], draw[2]),
+    "z2": lambda draw: Complex(draw[3], draw[4]),
+    "x1": lambda draw: Complex(draw[1]),
+    "x2": lambda draw: Complex(draw[3]),
+    "c1": lambda draw: Complex(draw[1], -draw[2]),
+}
+
+
 @dataclass(frozen=True)
 class ComplexLaw:
-    """A law of the complex extension, stated directly on model values.
-
-    ``fn(*values)`` returns the two sides to compare; ``nvars`` is how many
-    complex values it takes.  A law that needs a constant builds it in its
-    values' session.
-    """
+    """A law ``lhs == rhs`` of the complex extension, on random complex ``z``
+    and ``w``: its variables are ``z1`` and ``z2`` for them, ``x1`` and ``x2``
+    for their real parts and ``c1`` for the conjugate of ``z``.  Any other
+    raises ``ValueError`` when the law is built."""
 
     name: str
-    nvars: int
-    statement: str
-    fn: Callable[..., tuple[Complex, Complex]] = field(repr=False)
+    lhs: Term
+    rhs: Term
+    premises = ()
 
-    __str__ = Equation.__str__
+    variables, _loops = Equation.variables, Equation._loops
+    __getstate__, __str__ = Equation.__getstate__, Equation.__str__
+
+    def __post_init__(self) -> None:
+        if not _SHOWN.keys() >= set(self.variables):
+            raise ValueError(f"a complex law reads only z1, z2, x1, x2 and c1: {self.variables}")
+
+    @cached_property
+    def nvars(self) -> int:
+        """How many drawn values the variables read: 0, 1 (``z``) or 2."""
+        return max((int(name[1]) for name in self.variables), default=0)
+
+    @cached_property
+    def statement(self) -> str:  # an equation's, each name printed as ``_SHOWN`` says
+        return re.sub(r"\w+", lambda m: _SHOWN.get(m[0], m[0]), Equation.statement.func(self))
 
 
 Law = Union[Equation, ConditionalEquation, ComplexLaw]
@@ -262,8 +289,8 @@ def _pz(expr: str) -> str:
     return f"(1 - ({expr}) * inv({expr}))"
 
 
-def _eq(name: str, lhs: str, rhs: str) -> Equation:
-    return Equation(name, parse(lhs), parse(rhs))
+def _eq(name: str, lhs: str, rhs: str, law=Equation):
+    return law(name, parse(lhs), parse(rhs))
 
 
 def _cond(
@@ -318,79 +345,23 @@ def _lagrange(n: int) -> tuple[Equation, ...]:
     return (_eq(f"lagrange-{n}", f"({body}) * inv({body})", "1"),)
 
 
-def _complex_laws() -> tuple[ComplexLaw, ...]:
-    def sign_via_real(z: Complex):
-        return z.sign(), z.re_part().sign()
-
-    def sqrt_via_real(z: Complex):
-        return z.ssqrt(), z.re_part().ssqrt()
-
-    def real_part_decomposition(z: Complex):
-        half = Complex.from_parts(z.session, Fraction(1, 2))
-        return z.re_part(), (z + z.conj()) * half
-
-    return (
-        ComplexLaw("complex-sign-via-real-part", 1, "s(z) == s(re(z))", sign_via_real),
-        ComplexLaw(
-            "complex-sqrt-via-real-part", 1, "sqrt(z) == sqrt(re(z))", sqrt_via_real
-        ),
-        ComplexLaw(
-            "complex-real-part-decomposition",
-            1,
-            "re(z) == 1/2 * (z + conj(z))",
-            real_part_decomposition,
-        ),
-    )
-
-
-def _complex_restricted_laws() -> tuple[ComplexLaw, ...]:
-    def sqrt_of_inverse(z: Complex):
-        x = z.re_part()
-        return x.inv().ssqrt(), x.ssqrt().inv()
-
-    def sqrt_of_product(z: Complex, w: Complex):
-        x, y = z.re_part(), w.re_part()
-        return (x * y).ssqrt(), x.ssqrt() * y.ssqrt()
-
-    def sqrt_of_signed_square(z: Complex):
-        x = z.re_part()
-        return (x * x * x.sign()).ssqrt(), x
-
-    def sqrt_preserves_order(z: Complex, w: Complex):
-        x, y = z.re_part(), w.re_part()
-        return (x.ssqrt() - y.ssqrt()).sign(), (x - y).sign()
-
-    return (
-        ComplexLaw(
-            "restricted-sqrt-of-inverse",
-            1,
-            "sqrt(inv(re(z))) == inv(sqrt(re(z)))",
-            sqrt_of_inverse,
-        ),
-        ComplexLaw(
-            "restricted-sqrt-of-product",
-            2,
-            "sqrt(re(z) * re(w)) == sqrt(re(z)) * sqrt(re(w))",
-            sqrt_of_product,
-        ),
-        ComplexLaw(
-            "restricted-sqrt-of-signed-square",
-            1,
-            "sqrt(re(z) * re(z) * s(re(z))) == re(z)",
-            sqrt_of_signed_square,
-        ),
-        ComplexLaw(
-            "restricted-sqrt-preserves-order",
-            2,
-            "s(sqrt(re(z)) - sqrt(re(w))) == s(re(z) - re(w))",
-            sqrt_preserves_order,
-        ),
+def _restricted(laws: tuple[Equation, ...]) -> tuple[ComplexLaw, ...]:
+    """``laws`` over ``x`` and ``y`` read on the real parts of ``z`` and ``w``."""
+    renamed = lambda t: substitute(substitute(t, "x", Var("x1")), "y", Var("x2"))
+    return tuple(
+        ComplexLaw(f"restricted-{law.name}", renamed(law.lhs), renamed(law.rhs)) for law in laws
     )
 
 
 @cache
 def catalog() -> Catalog:
     """The (cached) law catalog."""
+    square_roots = (
+        _eq("sqrt-of-inverse", "sqrt(inv(x))", "inv(sqrt(x))"),
+        _eq("sqrt-of-product", "sqrt(x * y)", "sqrt(x) * sqrt(y)"),
+        _eq("sqrt-of-signed-square", "sqrt(x * x * s(x))", "x"),
+        _eq("sqrt-preserves-order", "s(sqrt(x) - sqrt(y))", "s(x - y)"),
+    )
     return Catalog(
         Md=(
             _eq("add-associative", "(x + y) + z", "x + (y + z)"),
@@ -453,12 +424,7 @@ def catalog() -> Catalog:
                 strategy="match-products",
             ),
         ),
-        SquareRoots=(
-            _eq("sqrt-of-inverse", "sqrt(inv(x))", "inv(sqrt(x))"),
-            _eq("sqrt-of-product", "sqrt(x * y)", "sqrt(x) * sqrt(y)"),
-            _eq("sqrt-of-signed-square", "sqrt(x * x * s(x))", "x"),
-            _eq("sqrt-preserves-order", "s(sqrt(x) - sqrt(y))", "s(x - y)"),
-        ),
+        SquareRoots=square_roots,
         SqrtDerived=(
             _eq("sqrt-of-sign", "sqrt(s(x))", "s(x)"),
             _eq("sqrt-of-pseudo-unit", f"sqrt({_pu('x')})", _pu("x")),
@@ -473,8 +439,12 @@ def catalog() -> Catalog:
                 "s(1 + b)^2 / sqrt(1 - b)",
             ),
         ),
-        Complex=_complex_laws(),
-        ComplexRestricted=_complex_restricted_laws(),
+        Complex=(
+            _eq("complex-sign-via-real-part", "s(z1)", "s(x1)", ComplexLaw),
+            _eq("complex-sqrt-via-real-part", "sqrt(z1)", "sqrt(x1)", ComplexLaw),
+            _eq("complex-real-part-decomposition", "x1", "1/2 * (z1 + c1)", ComplexLaw),
+        ),
+        ComplexRestricted=_restricted(square_roots),
         Lagrange1=_lagrange(1),
         Lagrange2=_lagrange(2),
         Lagrange3=_lagrange(3),
@@ -625,6 +595,13 @@ def _random_valuation(rng, nvars: int, strategy=None, trial: int = 0) -> list:
     return values
 
 
+def _loop(law, kind: str):
+    """The law's trial loop for a model kind, compiled at its first check."""
+    if kind not in law._loops:
+        law._loops[kind] = _compile(law.variables, law.premises, law.lhs, law.rhs, kind)
+    return law._loops[kind]
+
+
 def _check_law(law, model, mode, trials, seed):
     """Run an equation or conditional equation's compiled loop over exact
     draws, each trial led by its fresh session, or over field tuples
@@ -633,6 +610,7 @@ def _check_law(law, model, mode, trials, seed):
     nvars = len(law.variables)
     picked = _pick_mode(resolved, mode, nvars)
     exact = resolved == "exact"
+    loop = _loop(law, "exact" if exact else "field")
     if picked == "exhaustive":
         valuations = product(resolved.elements(), repeat=nvars)
     elif exact:
@@ -641,9 +619,6 @@ def _check_law(law, model, mode, trials, seed):
     else:
         draw, p = random.Random(seed).randrange, resolved.p
         valuations = (tuple(draw(p) for _ in range(nvars)) for _ in range(trials))
-    loop = law._loops.get(exact)
-    if loop is None:
-        loop = law._loops[exact] = _compile(law.variables, law.premises, law.lhs, law.rhs, exact)
     return _check(
         lambda refute: loop(valuations, resolved, refute),
         law.name,
@@ -744,30 +719,16 @@ def check_propagation(
     )
 
 
-def _complex_trials(law: ComplexLaw, trials: int, seed: int, refute):
-    rng = random.Random(seed)
-    for _ in range(trials):
-        _, *parts = _random_valuation(rng, 2 * law.nvars)
-        values = [Complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
-        lhs, rhs = law.fn(*values)
-        if lhs != rhs:
-            refute({f"z{i + 1}": z for i, z in enumerate(values)}, lhs, rhs)
-    return trials, 0
-
-
 def check_complex_law(
     law: ComplexLaw, *, trials: int = 500, seed: int = 0
 ) -> CheckReport:
-    """Check one complex-extension law on random complex values."""
-    return _check(
-        lambda refute: _complex_trials(law, trials, seed, refute),
-        law.name,
-        law.statement,
-        "complex",
-        "randomized",
-        trials,
-        seed,
-    )
+    """Check one complex-extension law on random complex values, each of its
+    variables built straight from the parts drawn for its value."""
+    rng, builds = random.Random(seed), [_BUILDS[name] for name in law.variables]
+    draws = (_random_valuation(rng, 2 * law.nvars) for _ in range(trials))
+    valuations = ([draw[0], *[build(draw) for build in builds]] for draw in draws)
+    run = lambda refute: _loop(law, "complex")(valuations, None, refute)
+    return _check(run, law.name, law.statement, "complex", "randomized", trials, seed)
 
 
 def run_suite(

@@ -9,7 +9,7 @@ totalizes).  Sign and signed square root look only at the real part:
 
 so both collapse the imaginary axis.  On the real line (``b == 0``) they agree
 with the kernel's operations, which is what the restricted law set in
-:mod:`meadows.axioms` exercises.
+:mod:`meadows.axioms` exercises: the ``SquareRoots`` laws, read on real parts.
 """
 
 from __future__ import annotations

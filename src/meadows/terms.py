@@ -596,12 +596,15 @@ _FIELD_SOURCE = {Add: "{} + {}", Mul: "{} * {}", Neg: "-{}", Inv: "inv({})"}
 _EXACT_SOURCE = {
     **_FIELD_SOURCE, Inv: "{}.inv()", Sign: "rational({}.sign())", Sqrt: "{}.ssqrt()"
 }
+_COMPLEX_SOURCE = {**_EXACT_SOURCE, Sign: "{}.sign()"}  # a complex value's own sign
+_SOURCES = {"field": _FIELD_SOURCE, "exact": _EXACT_SOURCE, "complex": _COMPLEX_SOURCE}
 
 
 def _compile(
-    variables: Sequence[str], premises: Sequence[tuple], lhs: Term, rhs: Term, exact: bool
+    variables: Sequence[str], premises: Sequence[tuple], lhs: Term, rhs: Term, kind: str
 ):
-    """The whole trial loop of a law, for the exact model or for prime fields.
+    """The whole trial loop of a law, for the model kind ``"exact"``,
+    ``"field"`` (prime fields) or ``"complex"``.
 
     Returns ``law(trials, domain, refute)``, which runs every trial and
     returns ``(satisfied, skipped)``.  A trial is skipped as soon as a premise
@@ -614,8 +617,9 @@ def _compile(
     unpacked into locals; the valuation dict is built only for ``refute``.
     Over a field the values are ints and ``domain`` is the
     :class:`PrimeField`, whose ``p`` and ``inv`` are bound once.  On the
-    exact model the trial's session comes first, ``[session, v0, v1, ...]``,
-    and ``domain`` is not read.
+    exact and complex kinds the trial's session comes first,
+    ``[session, v0, v1, ...]``, and ``domain`` is not read; complex values
+    bring their own ``sign()``, and closed subterms stay exact values.
 
     The nodes are emitted in the order the walks first evaluate them, each
     distinct subterm once per trial, so the exact session adjoins the same
@@ -630,12 +634,14 @@ def _compile(
     # children's slots (a leaf's by its value or name), so no term is hashed.
     slots = {(Var, name): f"v{i}" for i, name in enumerate(variables)}
     unpack = ", ".join(slots.values())
+    exact = kind != "field"
     if exact:
         loop = [f"for [session, {unpack}] in trials:"]
         lines.append("rational = session.rational")
     else:
         loop = ["inv = domain.inv", "p = domain.p", f"for [{unpack}] in trials:"]
-    templates = _EXACT_SOURCE if exact else _FIELD_SOURCE
+    templates = _SOURCES[kind]
+    reals: set[str] = set()  # the complex kind's slots of closed subterms, exact values
 
     def enter(t: Term) -> Optional[str]:
         if isinstance(t, (Const, Var)) or type(t) in templates:
@@ -649,6 +655,7 @@ def _compile(
         name = slots.get(key)
         if name is not None:
             return name
+        real = all(k in reals for k in kids)  # true of a Const, which has no kids
         if isinstance(t, Const):
             n, d = (
                 k if k < _CHUNK_BASE else hex(k) for k in t.value.as_integer_ratio()
@@ -661,15 +668,17 @@ def _compile(
             else:
                 expr = f"{n} * inv({d})"
         else:
-            expr = templates[type(t)].format(*kids)
+            expr = (_EXACT_SOURCE if real else templates)[type(t)].format(*kids)
         name = slots[key] = f"t{len(slots)}"
+        if real and kind == "complex":
+            reals.add(name)
         lines.append(f"{name} = {expr}")
         return name
 
-    for left, right, kind in premises:
+    for left, right, relation in premises:
         a, b = _fold(left, leave, enter), _fold(right, leave, enter)
         same = f"{a} == {b}" if exact else f"({a} - {b}) % p == 0"
-        lines.append(f"if {'not ' if kind == 'eq' else ''}{same}: skipped += 1; continue")
+        lines.append(f"if {'not ' if relation == 'eq' else ''}{same}: skipped += 1; continue")
     a, b = _fold(lhs, leave, enter), _fold(rhs, leave, enter)
     lines.append(f"lhs, rhs = {a}, {b}" if exact else f"lhs, rhs = {a} % p, {b} % p")
     valuation = "{%s}" % ", ".join(f"{n!r}: v{i}" for i, n in enumerate(variables))

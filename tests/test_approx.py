@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from meadows import approx
 from meadows.approx import (
     _CHUNK,
     _LEAF_BITS,
@@ -157,6 +158,17 @@ class TestDigitLimit:
             approx_decimal(s.rational(1, 3), _MAX_DIGITS + 1)
         with pytest.raises(ValueError, match="at most"):
             approx_fraction(s.rational(2).ssqrt(), 10**9)
+
+    def test_a_value_beyond_the_precision_budget_is_refused(self, s, monkeypatch):
+        # With a budget of 128 bits, 30 digits pass the request cap, but the
+        # bounds of 10**40 * sqrt(2) at 128 bits are about 30 wide.
+        monkeypatch.setattr(approx, "_MAX_BITS", 128)
+        big = s.rational(10**40) * s.rational(2).ssqrt()
+        with pytest.raises(ValueError, match="precision budget of 128 bits"):
+            approx_decimal(big, 30)
+        with pytest.raises(ValueError, match="precision budget of 128 bits"):
+            enclose(s.rational(2).ssqrt(), Fraction(1, 2**200))
+        assert approx_decimal(s.rational(2).ssqrt(), 30) == "1.414213562373095048801688724209"
 
     def test_long_integer_part(self, s):
         x = s.rational(10**1500 + 1, 3)

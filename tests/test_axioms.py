@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from meadows import axioms, finite
 from meadows.axioms import (
     SUITE_NAMES,
     CheckReport,
+    ComplexLaw,
     ConditionalEquation,
     Equation,
     catalog,
@@ -33,6 +35,7 @@ from meadows.terms import (
     Var,
     eval_exact,
     parse,
+    substitute,
 )
 
 
@@ -489,6 +492,49 @@ class TestComplexSuites:
         report = check_complex_law(catalog().Complex[0], trials=50, seed=9)
         assert report.verdict == "pass"
         assert report.trials == 50
+
+    def test_a_variable_outside_the_five_is_rejected(self):
+        for source in ("y", "z3", "re"):
+            with pytest.raises(ValueError, match="a complex law reads only z1, z2, x1, x2 and c1: "):
+                ComplexLaw("odd", parse(source), parse("z1"))
+
+    def test_a_law_false_off_the_real_line_is_refuted_on_its_own_variables(self):
+        law = ComplexLaw("re-is-z", parse("x1"), parse("z1"))
+        assert (law.nvars, law.statement) == (1, "re(z) == z")
+        report = check_complex_law(law, trials=40, seed=2)
+        assert report.verdict == "fail" and report.failures
+        for failure in report.failures:
+            assert set(failure.valuation) == {"x1", "z1"}
+            assert (failure.lhs, failure.rhs) == (failure.valuation["x1"], failure.valuation["z1"])
+
+    def test_a_checked_law_pickles_and_its_copy_compiles_its_own_loop(self):
+        law = ComplexLaw("fresh-complex", parse("z1 * z2 + c1"), parse("c1 + z2 * z1"))
+        report = check_complex_law(law, trials=5, seed=1)
+        copy = pickle.loads(pickle.dumps(law))
+        assert copy == law and hash(copy) == hash(law)
+        assert "complex" not in vars(copy).get("_loops", {})
+        assert check_complex_law(copy, trials=5, seed=1) == report
+        assert copy._loops["complex"] is not law._loops["complex"]
+
+    def test_the_restricted_laws_are_the_square_root_laws_on_real_parts(self):
+        def on_real_parts(t):
+            return substitute(substitute(t, "x", Var("x1")), "y", Var("x2"))
+
+        c = catalog()
+        assert len(c.ComplexRestricted) == len(c.SquareRoots)
+        for restricted, law in zip(c.ComplexRestricted, c.SquareRoots):
+            assert restricted.name == f"restricted-{law.name}"
+            assert restricted.lhs == on_real_parts(law.lhs)
+            assert restricted.rhs == on_real_parts(law.rhs)
+
+    def test_closed_laws_read_no_value(self):
+        law = ComplexLaw("one", parse("1"), parse("1"))
+        assert (law.variables, law.nvars) == ((), 0)
+        assert check_complex_law(law, trials=3).verdict == "pass"
+        # a closed subterm is an exact value, whose sign is still a value
+        signs = ComplexLaw("closed-sign", parse("inv(s(-2)) * z1 + s(3)"), parse("1 - z1"))
+        assert signs.nvars == 1
+        assert check_complex_law(signs, trials=20).verdict == "pass"
 
 
 class TestReports:

@@ -52,6 +52,12 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == "error: digits must be at most 315652\n"
 
+    def test_a_value_beyond_the_precision_budget_is_bad_input(self, capsys, monkeypatch):
+        monkeypatch.setattr(meadows.approx, "_MAX_BITS", 128)
+        code, out, err = run(capsys, "eval", "--digits", "30", "10^40 * sqrt(2)")
+        assert (code, out) == (2, "")
+        assert err == "error: the value needs more than the precision budget of 128 bits\n"
+
     def test_canonical_form_longer_than_the_digit_limit(self, capsys):
         code, out, err = run(capsys, "eval", "--json", "*".join(["(10^900)"] * 5))
         assert (code, err) == (0, "")

@@ -158,7 +158,7 @@ def _shown(reported):
 
 def _assert_exact_loops_agree(law, seed, count=4):
     premises, lhs, rhs = law
-    compiled = _compile(VARIABLES, premises, lhs, rhs, exact=True)
+    compiled = _compile(VARIABLES, premises, lhs, rhs, "exact")
     walked = walk_loop(VARIABLES, premises, lhs, rhs, exact=True)
     for k in range(1, count + 1):
         # The same draws in two sets of sessions: one for the walk, one for the code.
@@ -192,7 +192,7 @@ def _assert_field_loops_agree(law, case):
     premises, lhs, rhs = law
     p, trials = case
     field = PrimeField(p)
-    compiled = _compile(VARIABLES, premises, lhs, rhs, exact=False)
+    compiled = _compile(VARIABLES, premises, lhs, rhs, "field")
     walked = walk_loop(VARIABLES, premises, lhs, rhs, exact=False)
     for k in range(1, len(trials) + 1):
         assert tally(compiled, trials[:k], field) == tally(walked, trials[:k], field)
@@ -222,7 +222,7 @@ def test_shared_subterms_are_computed_once():
             return super().inv(a)
 
     law = parse("inv(x + y) * inv(x + y)"), parse("inv(x + y)")
-    compiled = _compile(("x", "y"), (), *law, exact=False)
+    compiled = _compile(("x", "y"), (), *law, "field")
     assert tally(compiled, [(2, 4), (1, 0)], Counting(7)) == (
         (2, 0),
         [(0, {"x": 2, "y": 4}, 1, 6)],
@@ -392,7 +392,7 @@ def test_checking_fresh_laws_grows_no_module_container():
     for i in range(1000):
         check_equation(_fresh_law(i), 3)
     gc.collect()
-    assert set(warm._loops) == {True, False}  # the law holds its loops
+    assert set(warm._loops) == {"exact", "field"}  # the law holds its loops
     assert _module_containers() == before
 
 
@@ -409,6 +409,6 @@ def test_literals_beyond_the_digit_limit_compile_for_both_models():
             (True, None, [session, session.rational(3)]),
             (False, PrimeField(7), (3,)),
         ):
-            compiled = _compile(("x",), (), law.lhs, law.rhs, exact)
+            compiled = _compile(("x",), (), law.lhs, law.rhs, "exact" if exact else "field")
             walked = walk_loop(("x",), (), law.lhs, law.rhs, exact)
             assert tally(compiled, [trial], domain) == tally(walked, [trial], domain)

@@ -43,14 +43,9 @@ KNOWN_FALSE = (
     ),
 )
 
-def _sqrt_of_product_full(z, w):
-    return (z * w).ssqrt(), z.ssqrt() * w.ssqrt()
-
-
 # false off the real line: the root reads only the real part of z * w
 COMPLEX_KNOWN_FALSE = ComplexLaw(
-    "sqrt-of-product-full", 2, "sqrt(z * w) == sqrt(z) * sqrt(w)",
-    _sqrt_of_product_full,
+    "sqrt-of-product-full", parse("sqrt(z1 * z2)"), parse("sqrt(z1) * sqrt(z2)")
 )
 
 NESTED_RADICALS = (
