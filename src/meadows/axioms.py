@@ -750,6 +750,7 @@ def run_suite(
         if isinstance(law, ComplexLaw):
             if resolved != "exact":
                 raise ValueError("complex laws only run on the exact model")
+            _pick_mode(resolved, mode, 0)  # refuses an unknown or exhaustive mode
             reports.append(check_complex_law(law, trials=trials, seed=seed))
         else:  # the law tells the checker whether it is conditional
             reports.append(check_equation(law, resolved, mode=mode, trials=trials, seed=seed))

@@ -488,6 +488,15 @@ class TestComplexSuites:
         with pytest.raises(ValueError):
             run_suite("Complex", 7)
 
+    @pytest.mark.parametrize("name", ["Complex", "ComplexRestricted"])
+    def test_the_mode_is_checked_as_for_an_exact_equation(self, name):
+        with pytest.raises(ValueError, match="^exhaustive checking needs a finite model$"):
+            run_suite(name, mode="exhaustive", trials=5)
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            run_suite(name, mode="bogus", trials=5)
+        reports = run_suite(name, mode="randomized", trials=5)
+        assert {r.mode for r in reports} == {"randomized"}
+
     def test_single_law(self):
         report = check_complex_law(catalog().Complex[0], trials=50, seed=9)
         assert report.verdict == "pass"

@@ -457,6 +457,10 @@ class TestErrors:
             "more than the cap of 100\n"
         )
 
+    def test_exhaustive_mode_on_complex_laws_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "check", "Complex", "--mode", "exhaustive")
+        assert (code, out, err) == (2, "", "error: exhaustive checking needs a finite model\n")
+
     def test_a_term_may_start_with_h(self, capsys):
         # Subcommands have no short help option, so "-h" is a term.
         assert run(capsys, "equal", "-1", "-h") == (2, "", "error: unbound variable 'h'\n")

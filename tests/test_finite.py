@@ -3,11 +3,12 @@
 import hashlib
 import json
 import tracemalloc
-from itertools import product
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from meadows import finite
 from meadows.axioms import F3Report, verify_f3_argument
 from meadows.finite import (
     MAX_SIEVE_LIMIT,
@@ -224,6 +225,13 @@ class TestPrimesUpto:
     def test_count_to_the_cap(self):
         assert len(primes_upto(MAX_SIEVE_LIMIT)) == 664_579
 
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 120, 121, 168, 169, 1000, 10_007])
+    def test_matches_trial_division(self, limit):
+        def is_prime(m):
+            return m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
+
+        assert primes_upto(limit) == [m for m in range(limit + 1) if is_prime(m)]
+
 
 class TestLagrangeProbe:
     def test_one_square_frozen(self):
@@ -277,6 +285,27 @@ class TestScan:
         assert list(res.counterexample_sample) == [2, 3, 5, 7, 11]
         for p, w in res.counterexample_sample.items():
             assert (1 + sum(x * x for x in w)) % p == 0
+
+    @pytest.mark.parametrize("n, limit", [(1, 3000), (2, 3000), (3, 600), (4, 150)])
+    def test_verdicts_match_the_witness_search(self, n, limit):
+        primes = primes_upto(limit)
+        verdicts = [lagrange_holds(p, n).holds for p in primes]
+        assert [not finite._is_sum_of_squares(p, n, p - 1) for p in primes] == verdicts
+        assert scan_lagrange(n, limit).holds == tuple(compress(primes, verdicts))
+
+    def test_sums_of_squares_match_brute_force(self):
+        for p in primes_upto(30):
+            for n in (1, 2, 3):
+                sums = {sum(x * x for x in xs) % p for xs in product(range(p), repeat=n)}
+                assert {t for t in range(p) if finite._is_sum_of_squares(p, n, t)} == sums
+
+    def test_witnesses_are_built_only_for_the_sample(self, monkeypatch):
+        calls = []
+        probe = finite.lagrange_holds
+        monkeypatch.setattr(finite, "lagrange_holds", lambda p, n: calls.append(p) or probe(p, n))
+        res = scan_lagrange(2, 2000)
+        assert len(calls) <= 5
+        assert [fp.p for fp in calls] == list(res.counterexample_sample)
 
     @pytest.mark.parametrize("n", [0, 5, 7])
     def test_bad_square_count_is_rejected_even_without_primes(self, n):
