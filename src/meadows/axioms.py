@@ -500,11 +500,34 @@ def random_value(rng: random.Random, session: Session) -> Real:
 
     The mix is tuned to produce zeros, negatives, non-squares, and nested
     radicals with useful frequency while keeping tower depth small enough for
-    fast arithmetic.
+    fast arithmetic.  Until its first root the value is a rational, an int
+    pair ``p/q`` moved by int operations; :meth:`Session.rational` reduces
+    it to a :class:`Real` at that root, or on return if no root is taken,
+    and the steps after the root are ``Real`` operations.  The draws from
+    ``rng``, the value and the session's tower and root memo are those of
+    ``Real`` operations on every step.
     """
     choice = rng.choice
-    value = session.rational(choice(_NUMERATORS), choice(_DENOMINATORS))
-    for _ in range(choice(_STEPS)):
+    p, q = choice(_NUMERATORS), choice(_DENOMINATORS)
+    steps = choice(_STEPS)
+    while steps:  # the value is p/q, reduced when it becomes a Real
+        steps -= 1
+        op = choice(_OPS)
+        if op == 0 and session.depth < 8:
+            value = session.rational(p, q).ssqrt()
+            break
+        if op == 1:
+            if p:
+                p, q = q, p
+        elif op == 3:
+            p += choice(_SHIFTS) * q
+        elif op == 4:
+            p, q = p * choice(_SHIFTS), q * choice(_SCALES)
+        else:  # negation, also in place of a root past depth 8
+            p = -p
+    else:
+        return session.rational(p, q)
+    for _ in range(steps):
         op = choice(_OPS)
         if op == 0 and session.depth >= 8:
             op = 2

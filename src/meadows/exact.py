@@ -34,11 +34,15 @@ Because each ``f_k`` is a non-square over the levels below it, their square
 classes are independent, and a rational ``q`` has its root in the tower
 exactly when ``q * P[S]`` is a rational square for some mask ``S``, which is
 then unique (Kummer theory; Besicovitch 1940).  So the root of a rational is
-decided by one scan of the table instead of a search of the tower.  Once a
-*nested* radicand is adjoined, the table is dropped for good, and products
-and root searches recurse over the levels: such a tower can hold the root of
-a rational it never adjoined, e.g. ``sqrt(5 + 2*sqrt(6)) == sqrt(2) +
-sqrt(3)`` puts ``sqrt(2)`` in the tower over ``sqrt(6)``.
+decided by one scan of the table instead of a search of the tower, and built
+without the vector kernel.  A root the scan finds is ``sqrt(num*den*P[S]) /
+(den*P[S]) * e_S``.  Otherwise the rational's square-free split ``num*den ==
+m*m*f`` gives the new level's radicand ``(f, 0, ..., 0)`` and the root
+``m/den * sqrt(f)``.  Either root is brought to canonical form by one ``gcd``.
+Once a *nested* radicand is adjoined, the table is dropped for good, and
+products and root searches recurse over the levels: such a tower can hold
+the root of a rational it never adjoined, e.g. ``sqrt(5 + 2*sqrt(6)) ==
+sqrt(2) + sqrt(3)`` puts ``sqrt(2)`` in the tower over ``sqrt(6)``.
 
 Each session also memoizes the positive root of every argument of ``ssqrt``
 whose root is irrational, since finding such a root again means a fresh
@@ -686,22 +690,30 @@ class Real:
         if products is not None and len(self._num) == 1:
             # Kummer: sqrt(q) lies in a multiquadratic tower iff q * P[S] is
             # a rational square for some mask S, and then for that S alone;
-            # sqrt(num/den) == sqrt(num*den*P[S]) / (den*P[S]) * e_S
-            nd = self._num[0] * self._den
+            # sqrt(num/den) == sqrt(num*den*P[S]) / (den*P[S]) * e_S, whose
+            # vector ends at coordinate S, so it is already trimmed
+            den = self._den
+            nd = self._num[0] * den
             for mask, p in enumerate(products):
                 t = nd * p
                 w = isqrt(t)
                 if w * w == t:
-                    num = _zeros(mask) + (w,) + _zeros(half - mask - 1)
-                    return Real(session, num, self._den * p)
-        else:
-            # sqrt(num/den) == sqrt(num*den) / den
-            w = _vsqrt_in_tower(session, _vscale(self._lifted(half), self._den))
-            if w is not None:
-                num, den = w
-                if _vsign(session, num) < 0:
-                    num = _vneg(num)
-                return Real(session, num, den * self._den)
+                    d = den * p
+                    g = gcd(w, d)
+                    num = _zeros(mask) + (w // g,) + _zeros((1 << mask.bit_length()) - mask - 1)
+                    return _canonical(session, num, d // g)
+            # a new root: sqrt(num/den) == m/den * sqrt(f) for num*den == m*m*f
+            m, f = _square_free_split(nd)
+            session._adjoin((f,) + _zeros(half - 1))
+            g = gcd(m, den)
+            return _canonical(session, _zeros(half) + (m // g,) + _zeros(half - 1), den // g)
+        # sqrt(num/den) == sqrt(num*den) / den
+        w = _vsqrt_in_tower(session, _vscale(self._lifted(half), self._den))
+        if w is not None:
+            num, den = w
+            if _vsign(session, num) < 0:
+                num = _vneg(num)
+            return Real(session, num, den * self._den)
         m, rad = _normalize_radicand(self._lifted(half), self._den)
         session._adjoin(rad)
         return Real(session, _zeros(half) + (m,) + _zeros(half - 1), self._den)

@@ -39,6 +39,29 @@ from meadows.terms import (
 )
 
 
+def real_only_random_value(rng, session):
+    """The draws of ``axioms.random_value`` made with ``Real`` operations
+    alone, the value a ``Real`` from its first draw on: the oracle of the
+    int draws, which must agree with it value for value and draw for draw."""
+    choice = rng.choice
+    value = session.rational(choice(axioms._NUMERATORS), choice(axioms._DENOMINATORS))
+    for _ in range(choice(axioms._STEPS)):
+        op = choice(axioms._OPS)
+        if op == 0 and session.depth >= 8:
+            op = 2
+        if op == 0:
+            value = value.ssqrt()
+        elif op == 1:
+            value = value.inv()
+        elif op == 2:
+            value = -value
+        elif op == 3:
+            value = value + session.rational(choice(axioms._SHIFTS))
+        else:
+            value = value * session.rational(choice(axioms._SHIFTS), choice(axioms._SCALES))
+    return value
+
+
 def test_axioms_imports_nothing_from_the_simplifier():
     tree = ast.parse(inspect.getsource(axioms))
     imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
@@ -347,6 +370,32 @@ class TestRandomizedExact:
         for _ in range(300):
             axioms.random_value(rng, s)
         assert s.depth == 8
+
+    @staticmethod
+    def _draws(session, rng, count, draw):
+        values = [draw(rng, session) for _ in range(count)]
+        session.check_invariants()
+        return (
+            [(v._num, v._den) for v in values],
+            session._radicands,
+            session._products,
+            list(session._roots.items()),
+            rng.getstate(),
+        )
+
+    def _assert_draws_match_the_real_only_draws(self, seed, count):
+        ours = self._draws(Session(), random.Random(seed), count, axioms.random_value)
+        oracle = self._draws(Session(), random.Random(seed), count, real_only_random_value)
+        assert ours == oracle
+        return len(ours[1])
+
+    def test_random_values_match_real_only_draws(self):
+        # values, tower, root memo and RNG state, in fresh sessions
+        for seed in range(300):
+            self._assert_draws_match_the_real_only_draws(seed, 4)
+
+    def test_random_values_match_real_only_draws_up_to_the_depth_cap(self):
+        assert self._assert_draws_match_the_real_only_draws(7, 80) == 8
 
     def test_a_zero_first_factor_falls_back_to_one(self, monkeypatch):
         # "match-products" needs x != 0; after 20 zero draws it takes x = 1

@@ -6,6 +6,10 @@ operations, ``inv`` and ``sign`` have a branch for two rationals that makes
 results already in canonical form, and ``str`` renders a rational from its
 numerator and denominator.  ``Fraction`` arithmetic is the oracle, and the
 validating ``Real`` constructor must find every result already canonical.
+It must also find the root of every rational already canonical.
+``Real._root`` builds that root without the kernel in a multiquadratic tower,
+from the scan of radicand products or, for a new level, from the rational's
+square-free split; the tests cover such towers to depth 5 and a nested one.
 Each session also keeps the rendered radical of every tower level, so
 ``str`` must agree with ``value_to_term`` run with that memo cleared.
 """
@@ -19,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meadows.axioms import random_value
-from meadows.exact import Real, Session, SessionMismatch, TowerInvariantError
+from meadows.exact import Real, Session, SessionMismatch, TowerInvariantError, _square_free_split
 from meadows.simplify import value_to_term
 from meadows.terms import render
 
@@ -138,3 +142,35 @@ def test_check_invariants_re_renders_each_memoized_radical():
         s.check_invariants()
     s._radicals[2] = memo[2]
     s.check_invariants()
+
+
+def _tower(kind):
+    """A fresh session over the roots of the first ``kind`` primes, or the
+    nested tower over ``sqrt(1 + sqrt(2))``."""
+    s = Session()
+    if kind == "nested":
+        (1 + s.rational(2).ssqrt()).ssqrt()
+        assert s._products is None
+    else:
+        for p in (2, 3, 5, 7, 11)[:kind]:
+            s.rational(p).ssqrt()
+    return s
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2, 3, 4, 5, "nested"])
+def test_roots_of_rationals_are_canonical_and_adjoin_the_square_free_part(kind):
+    quotients = {Fraction(a, b) for a in range(1, 31) for b in range(1, 31)}
+    for q in sorted(quotients):
+        for signed in (q, -q):
+            s = _tower(kind)
+            depth = s.depth
+            x = s.rational(signed.numerator, signed.denominator)
+            root = x.ssqrt()
+            again = Real(s, root._num, root._den)  # the validating constructor
+            assert (again._num, again._den) == (root._num, root._den)
+            assert root * root == s.rational(q) and root.sign() == (1 if signed > 0 else -1)
+            if s.depth > depth:
+                assert s.depth == depth + 1
+                f = _square_free_split(q.numerator * q.denominator)[1]
+                assert s._radicands[depth] == (f,) + (0,) * ((1 << depth) - 1)
+            s.check_invariants()
