@@ -35,14 +35,15 @@ classes are independent, and a rational ``q`` has its root in the tower
 exactly when ``q * P[S]`` is a rational square for some mask ``S``, which is
 then unique (Kummer theory; Besicovitch 1940).  So the root of a rational is
 decided by one scan of the table instead of a search of the tower, and built
-without the vector kernel.  A root the scan finds is ``sqrt(num*den*P[S]) /
-(den*P[S]) * e_S``.  Otherwise the rational's square-free split ``num*den ==
-m*m*f`` gives the new level's radicand ``(f, 0, ..., 0)`` and the root
-``m/den * sqrt(f)``.  Either root is brought to canonical form by one ``gcd``.
+without the vector kernel: it is ``sqrt(num*den*P[S]) / (den*P[S]) * e_S``.
 Once a *nested* radicand is adjoined, the table is dropped for good, and
 products and root searches recurse over the levels: such a tower can hold
 the root of a rational it never adjoined, e.g. ``sqrt(5 + 2*sqrt(6)) ==
-sqrt(2) + sqrt(3)`` puts ``sqrt(2)`` in the tower over ``sqrt(6)``.
+sqrt(2) + sqrt(3)`` puts ``sqrt(2)`` in the tower over ``sqrt(6)``.  A root
+neither finds makes a new level by one rule, of which a rational is the
+one-coordinate case: for the content ``g`` of ``num`` and ``g*den == m*m*f``
+(``f`` square-free) the radicand is ``num/g * f``, ``(f, 0, ..., 0)`` for a
+rational, and the root ``m/den`` times its root, canonical after one ``gcd``.
 
 Each session also memoizes the positive root of every argument of ``ssqrt``
 whose root is irrational, since finding such a root again means a fresh
@@ -308,19 +309,6 @@ def _square_free_split(n: int) -> tuple[int, int]:
     else:
         f *= n
     return m, f
-
-
-def _normalize_radicand(num: tuple, den: int) -> tuple[int, tuple]:
-    """Split positive ``num/den`` as ``(m/den)**2 * rad`` with a tidier radicand.
-
-    The content ``g/den`` of the value is pulled out and reduced square-free
-    (``g*den == m*m*f``) so that e.g. the root of 8 is stored as
-    ``2 * sqrt(2)`` rather than ``sqrt(8)``.  Returns ``(m, rad)`` with
-    ``m > 0`` and ``rad == (num/g) * f``, an int vector.
-    """
-    g = gcd(*num)  # positive: the value is positive, so some coord != 0
-    m, f = _square_free_split(g * den)
-    return m, tuple(c // g * f for c in num)
 
 
 # ---------------------------------------------------------------------------
@@ -683,40 +671,43 @@ class Real:
         return root if sg > 0 else -root
 
     def _root(self) -> Real:
-        """The positive root of this positive value, adjoining one if needed."""
+        """The positive root of this positive value, adjoining one if needed.
+
+        Every new level follows one rule, of which a rational is the
+        one-coordinate case: ``sqrt(num/den) == m/den * sqrt(num/g * f)``
+        for ``g == gcd(*num)`` and ``g*den == m*m*f``, so ``sqrt(8)`` is ``2 *
+        sqrt(2)``."""
         session = self._session
+        num, den = self._num, self._den
         half = 1 << session.depth
         products = session._products
-        if products is not None and len(self._num) == 1:
+        if products is not None and len(num) == 1:
             # Kummer: sqrt(q) lies in a multiquadratic tower iff q * P[S] is
             # a rational square for some mask S, and then for that S alone;
             # sqrt(num/den) == sqrt(num*den*P[S]) / (den*P[S]) * e_S, whose
             # vector ends at coordinate S, so it is already trimmed
-            den = self._den
-            nd = self._num[0] * den
+            nd = num[0] * den
             for mask, p in enumerate(products):
                 t = nd * p
                 w = isqrt(t)
                 if w * w == t:
                     d = den * p
                     g = gcd(w, d)
-                    num = _zeros(mask) + (w // g,) + _zeros((1 << mask.bit_length()) - mask - 1)
-                    return _canonical(session, num, d // g)
-            # a new root: sqrt(num/den) == m/den * sqrt(f) for num*den == m*m*f
-            m, f = _square_free_split(nd)
-            session._adjoin((f,) + _zeros(half - 1))
-            g = gcd(m, den)
-            return _canonical(session, _zeros(half) + (m // g,) + _zeros(half - 1), den // g)
-        # sqrt(num/den) == sqrt(num*den) / den
-        w = _vsqrt_in_tower(session, _vscale(self._lifted(half), self._den))
-        if w is not None:
-            num, den = w
-            if _vsign(session, num) < 0:
-                num = _vneg(num)
-            return Real(session, num, den * self._den)
-        m, rad = _normalize_radicand(self._lifted(half), self._den)
-        session._adjoin(rad)
-        return Real(session, _zeros(half) + (m,) + _zeros(half - 1), self._den)
+                    root = _zeros(mask) + (w // g,) + _zeros((1 << mask.bit_length()) - mask - 1)
+                    return _canonical(session, root, d // g)
+        else:
+            # sqrt(num/den) == sqrt(num*den) / den
+            w = _vsqrt_in_tower(session, _vscale(self._lifted(half), den))
+            if w is not None:
+                root, root_den = w
+                if _vsign(session, root) < 0:
+                    root = _vneg(root)
+                return Real(session, root, root_den * den)
+        g = gcd(*num)  # positive: the value is positive, so some coord != 0
+        m, f = _square_free_split(g * den)
+        session._adjoin(tuple([c // g * f for c in num]) + _zeros(half - len(num)))
+        g = gcd(m, den)
+        return _canonical(session, _zeros(half) + (m // g,) + _zeros(half - 1), den // g)
 
     def pseudo_unit(self) -> Real:
         """``x * inv(x)``: exactly 1 for nonzero values, 0 at zero."""

@@ -15,8 +15,9 @@ The *Lagrange probe* for exponent ``n`` asks whether the identity
 holds for all residues, i.e. whether ``1 + sum of n squares`` can ever hit 0
 (the totalized quotient then collapses to 0, refuting the identity).
 :func:`lagrange_holds` decides this with an explicit witness and
-:func:`scan_lagrange` sweeps all primes up to a bound, deciding each prime by
-Euler's criterion alone and building witnesses only for its sample.
+:func:`scan_lagrange` sweeps all primes up to a bound, deciding each prime
+without a search (Euler's criterion at n = 1; from n = 2 on every residue is
+a sum of two squares) and building witnesses only for its sample.
 """
 
 from __future__ import annotations
@@ -229,15 +230,10 @@ def _is_sum_of_squares(p: int, n: int, target: int) -> bool:
     """Is ``target`` (in ``range(p)``) a sum of n squares mod the prime p?
 
     At n = 1 this is Euler's criterion: a nonzero ``target`` is a square mod
-    an odd p exactly when ``target**((p-1)/2) == 1``.  Above, it is the search
-    of :func:`_lex_witness` without its roots and tuples, so both find a
-    witness for exactly the same targets."""
-    if n == 1:
-        return target == 0 or p == 2 or pow(target, (p - 1) >> 1, p) == 1
-    for x in range(p):
-        if _is_sum_of_squares(p, n - 1, (target - x * x) % p):
-            return True
-    return False
+    an odd p exactly when ``target**((p-1)/2) == 1``.  From n = 2 on every
+    residue is one: mod an odd p the (p+1)/2 values ``x*x`` and the (p+1)/2
+    values ``target - y*y`` must meet, and mod 2 every residue is a square."""
+    return n > 1 or target == 0 or p == 2 or pow(target, (p - 1) >> 1, p) == 1
 
 
 def lagrange_holds(p, n: int) -> LagrangeResult:
@@ -301,9 +297,10 @@ def scan_lagrange(n: int, limit: int) -> ScanResult:
     """Probe every prime up to ``limit``; collect holders and the first five
     failures with their witnesses.
 
-    Each prime's verdict is decided by Euler's criterion alone
-    (:func:`_is_sum_of_squares` on ``-1``); :func:`lagrange_holds` builds a
-    witness only for the five primes of the sample."""
+    Each prime is decided by :func:`_is_sum_of_squares` on ``-1``, with no
+    search (Euler's criterion at n = 1, true from n = 2 on);
+    :func:`lagrange_holds` builds a witness only for the five primes of the
+    sample."""
     if not 1 <= n <= 4:  # checked here too: no prime up to limit may check it
         raise ValueError("n must be between 1 and 4")
     holds: list[int] = []

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from meadows.exact import (
     Real,
     Session,
-    _normalize_radicand,
     _vinv,
     _vmul,
     _vsign,
@@ -372,8 +371,10 @@ def test_memoized_ssqrt_equals_fresh_search(case, den):
 
 def _searched_root(session, num, den):
     """The positive root of ``num/den > 0`` by the tower search alone, adjoining
-    the normalized radicand when the tower has none (the path every session
-    took before it kept a product table)."""
+    the square-free part of ``num*den`` when the tower has none (the path
+    every session took before it kept a product table).  The part is found by
+    trial of every square divisor, so the oracle shares no new-level code with
+    the kernel."""
     half = 1 << session.depth
     y = (num,) + (0,) * (half - 1)
     w = _vsqrt_in_tower(session, tuple(den * c for c in y))
@@ -382,8 +383,9 @@ def _searched_root(session, num, den):
         if _vsign(session, root) < 0:
             root = tuple(-c for c in root)
         return Real(session, root, root_den * den)
-    m, rad = _normalize_radicand(y, den)
-    session._adjoin(rad)
+    # sqrt(num/den) == m/den * sqrt(f) for num*den == m*m*f, f square-free
+    m = max(d for d in range(1, isqrt(num * den) + 1) if num * den % (d * d) == 0)
+    session._adjoin((num * den // (m * m),) + (0,) * (half - 1))
     return Real(session, (0,) * half + (m,) + (0,) * (half - 1), den)
 
 

@@ -6,7 +6,9 @@ operations, ``inv`` and ``sign`` have a branch for two rationals that makes
 results already in canonical form, and ``str`` renders a rational from its
 numerator and denominator.  ``Fraction`` arithmetic is the oracle, and the
 validating ``Real`` constructor must find every result already canonical.
-It must also find the root of every rational already canonical.
+It must also find the root of every rational already canonical, and the
+root of an irrational value whose new level is nested, which ``Real._root``
+builds by the same rule.
 ``Real._root`` builds that root without the kernel in a multiquadratic tower,
 from the scan of radicand products or, for a new level, from the rational's
 square-free split; the tests cover such towers to depth 5 and a nested one.
@@ -16,6 +18,7 @@ Each session also keeps the rendered radical of every tower level, so
 
 import random
 from fractions import Fraction
+from math import gcd
 from operator import add, eq, mul, sub, truediv
 
 import pytest
@@ -157,6 +160,16 @@ def _tower(kind):
     return s
 
 
+def canonical_root(x):
+    """``x.ssqrt()``, after checking its form is canonical, that it squares to
+    ``|x|`` and that it carries the sign of ``x``."""
+    root = x.ssqrt()
+    again = Real(x.session, root._num, root._den)  # the validating constructor
+    assert (again._num, again._den) == (root._num, root._den) and root._den > 0
+    assert root * root == (x if x.sign() > 0 else -x) and root.sign() == x.sign()
+    return root
+
+
 @pytest.mark.parametrize("kind", [0, 1, 2, 3, 4, 5, "nested"])
 def test_roots_of_rationals_are_canonical_and_adjoin_the_square_free_part(kind):
     quotients = {Fraction(a, b) for a in range(1, 31) for b in range(1, 31)}
@@ -164,13 +177,36 @@ def test_roots_of_rationals_are_canonical_and_adjoin_the_square_free_part(kind):
         for signed in (q, -q):
             s = _tower(kind)
             depth = s.depth
-            x = s.rational(signed.numerator, signed.denominator)
-            root = x.ssqrt()
-            again = Real(s, root._num, root._den)  # the validating constructor
-            assert (again._num, again._den) == (root._num, root._den)
-            assert root * root == s.rational(q) and root.sign() == (1 if signed > 0 else -1)
+            canonical_root(s.rational(signed.numerator, signed.denominator))
             if s.depth > depth:
                 assert s.depth == depth + 1
                 f = _square_free_split(q.numerator * q.denominator)[1]
                 assert s._radicands[depth] == (f,) + (0,) * ((1 << depth) - 1)
             s.check_invariants()
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2, 3, "nested"])
+def test_roots_of_irrationals_are_canonical_and_adjoin_a_primitive_radicand(kind):
+    """Arguments whose new levels are mostly nested: sums of prime roots plus
+    a rational, and ``random_value`` draws.  A new
+    radicand is the argument's numerator vector over its content ``g``, times
+    the square-free part ``f`` of ``g * den``, so its own content is ``f``."""
+    rng = random.Random(str(kind))
+    nested = 0
+    for trial in range(120):
+        s = _tower(kind)
+        if trial % 2:
+            x = random_value(rng, s)
+        else:
+            roots = [s.rational(p).ssqrt() for p in (2, 3, 5, 7)[: trial % 3 + 1]]
+            x = sum(roots, s.rational(rng.randint(-9, 9), rng.randint(1, 6)))
+        depth = s.depth
+        canonical_root(x)
+        if s.depth > depth:
+            assert s.depth == depth + 1
+            rad = s._radicands[depth]
+            nested += any(rad[1:])
+            content = gcd(*rad)
+            assert _square_free_split(content) == (1, content)
+        s.check_invariants()
+    assert nested >= 30
