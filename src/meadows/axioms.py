@@ -38,14 +38,16 @@ All four checkers share one tally.  Each runs its trials and calls
 says how many trials had their premises hold and how many were skipped (an
 equation has no premises); the tally counts the refutations, keeps the first
 :data:`MAX_FAILURES` and builds the :class:`CheckReport`.  Each law is
-compiled once per model kind (exact, field or complex) into one Python loop
-over all its trials (``terms._compile``), which the law itself holds, so the
-code lives exactly as long as the law.  Every kind takes a trial's values by
-position, in ``law.variables`` order: prime-field tuples, enumerated or
-sampled, or exact or complex values, each trial led by its fresh session,
-``[session, v0, v1, ...]``.  The valuation dict is built only for a refuting
-trial.  One function, ``_random_valuation``, draws every exact trial, for
-laws, propagation and the complex suites alike.
+compiled once per model kind (exact, sampled or exhaustive field, or
+complex) into one Python loop over all its trials (``terms._compile``),
+which the law itself holds, so the code lives exactly as long as the law.
+Every kind takes a trial's values by position, in ``law.variables`` order:
+sampled prime-field tuples, exact or complex values, each trial led by its
+fresh session, ``[session, v0, v1, ...]``, or, for an exhaustive check, the
+field's elements, which one nested loop per variable binds in turn.  The
+valuation dict is built only for a refuting trial.  One function,
+``_random_valuation``, draws every exact trial, for laws, propagation and
+the complex suites alike.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ import random
 import re
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import product
 from typing import Callable, Optional, Union
 
 from .approx import _parse_decimal
@@ -173,14 +174,15 @@ class ConditionalEquation:
 
 
 # How a complex law's statement prints its variables, and how a trial builds
-# each from its draw ``[session, re(z), im(z), re(w), im(w)]``.
+# each from the parts it reads of the draw ``[session, re(z), im(z), re(w),
+# im(w)]``, by their places in it; a trial draws only the parts its law reads.
 _SHOWN = {"z1": "z", "z2": "w", "x1": "re(z)", "x2": "re(w)", "c1": "conj(z)"}
 _BUILDS = {
-    "z1": lambda draw: Complex(draw[1], draw[2]),
-    "z2": lambda draw: Complex(draw[3], draw[4]),
-    "x1": lambda draw: Complex(draw[1]),
-    "x2": lambda draw: Complex(draw[3]),
-    "c1": lambda draw: Complex(draw[1], -draw[2]),
+    "z1": ((1, 2), Complex),
+    "z2": ((3, 4), Complex),
+    "x1": ((1,), Complex),
+    "x2": ((3,), Complex),
+    "c1": ((1, 2), lambda re, im: Complex(re, -im)),
 }
 
 
@@ -202,11 +204,6 @@ class ComplexLaw:
     def __post_init__(self) -> None:
         if not _SHOWN.keys() >= set(self.variables):
             raise ValueError(f"a complex law reads only z1, z2, x1, x2 and c1: {self.variables}")
-
-    @cached_property
-    def nvars(self) -> int:
-        """How many drawn values the variables read: 0, 1 (``z``) or 2."""
-        return max((int(name[1]) for name in self.variables), default=0)
 
     @cached_property
     def statement(self) -> str:  # an equation's, each name printed as ``_SHOWN`` says
@@ -627,15 +624,16 @@ def _loop(law, kind: str):
 
 def _check_law(law, model, mode, trials, seed):
     """Run an equation or conditional equation's compiled loop over exact
-    draws, each trial led by its fresh session, or over field tuples
-    enumerated in ``product`` order or sampled."""
+    draws, each trial led by its fresh session, over sampled field tuples, or
+    over a field's elements, which an exhaustive loop binds to each variable
+    in turn."""
     resolved = resolve_model(model)
     nvars = len(law.variables)
     picked = _pick_mode(resolved, mode, nvars)
     exact = resolved == "exact"
-    loop = _loop(law, "exact" if exact else "field")
+    loop = _loop(law, "exact" if exact else "exhaustive" if picked == "exhaustive" else "field")
     if picked == "exhaustive":
-        valuations = product(resolved.elements(), repeat=nvars)
+        valuations = resolved.elements()
     elif exact:
         rng = random.Random(seed)
         valuations = (_random_valuation(rng, nvars, law.strategy, t) for t in range(trials))
@@ -746,10 +744,14 @@ def check_complex_law(
     law: ComplexLaw, *, trials: int = 500, seed: int = 0
 ) -> CheckReport:
     """Check one complex-extension law on random complex values, each of its
-    variables built straight from the parts drawn for its value."""
+    variables built straight from the parts drawn for its value; a trial
+    draws only the parts its variables read, in their order in the draw."""
     rng, builds = random.Random(seed), [_BUILDS[name] for name in law.variables]
-    draws = (_random_valuation(rng, 2 * law.nvars) for _ in range(trials))
-    valuations = ([draw[0], *[build(draw) for build in builds]] for draw in draws)
+    places = (0, *sorted({place for read, _ in builds for place in read}))
+    draws = (dict(zip(places, _random_valuation(rng, len(places) - 1))) for _ in range(trials))
+    valuations = (
+        [draw[0], *[build(*[draw[i] for i in read]) for read, build in builds]] for draw in draws
+    )
     run = lambda refute: _loop(law, "complex")(valuations, None, refute)
     return _check(run, law.name, law.statement, "complex", "randomized", trials, seed)
 

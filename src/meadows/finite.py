@@ -223,7 +223,7 @@ def _lex_witness(fp: PrimeField, n: int, target: int) -> Optional[tuple[int, ...
         rest = _lex_witness(fp, n - 1, fp.sub(target, x * x))
         if rest is not None:
             return (x, *rest)
-    return None
+    return None  # not reached: from n = 2 on every residue is one (``_is_sum_of_squares``)
 
 
 def _is_sum_of_squares(p: int, n: int, target: int) -> bool:

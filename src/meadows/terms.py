@@ -597,14 +597,24 @@ _EXACT_SOURCE = {
     **_FIELD_SOURCE, Inv: "{}.inv()", Sign: "rational({}.sign())", Sqrt: "{}.ssqrt()"
 }
 _COMPLEX_SOURCE = {**_EXACT_SOURCE, Sign: "{}.sign()"}  # a complex value's own sign
-_SOURCES = {"field": _FIELD_SOURCE, "exact": _EXACT_SOURCE, "complex": _COMPLEX_SOURCE}
+_SOURCES = {
+    "field": _FIELD_SOURCE,
+    "exhaustive": _FIELD_SOURCE,
+    "exact": _EXACT_SOURCE,
+    "complex": _COMPLEX_SOURCE,
+}
+
+# The most subterms written inline into one another: each adds at most two
+# parentheses, and the parser takes at most 200 nested ones.
+_MAX_INLINE = 30
 
 
 def _compile(
     variables: Sequence[str], premises: Sequence[tuple], lhs: Term, rhs: Term, kind: str
 ):
     """The whole trial loop of a law, for the model kind ``"exact"``,
-    ``"field"`` (prime fields) or ``"complex"``.
+    ``"complex"``, ``"field"`` (sampled prime-field valuations) or
+    ``"exhaustive"`` (every valuation over a prime field).
 
     Returns ``law(trials, domain, refute)``, which runs every trial and
     returns ``(satisfied, skipped)``.  A trial is skipped as soon as a premise
@@ -613,41 +623,71 @@ def _compile(
     with what :func:`eval_exact` or :func:`eval_mod_p` give for ``lhs`` and
     ``rhs``.  An error ends the loop where the walks would raise it first.
 
-    A trial holds one value per name in ``variables``, in that order,
-    unpacked into locals; the valuation dict is built only for ``refute``.
-    Over a field the values are ints and ``domain`` is the
-    :class:`PrimeField`, whose ``p`` and ``inv`` are bound once.  On the
-    exact and complex kinds the trial's session comes first,
-    ``[session, v0, v1, ...]``, and ``domain`` is not read; complex values
-    bring their own ``sign()``, and closed subterms stay exact values.
+    A trial holds one value per name in ``variables``, in that order, bound
+    to locals; the valuation dict is built only for ``refute``.  Over a
+    field the values are ints and ``domain`` is the :class:`PrimeField`,
+    whose ``p`` and ``inv`` are bound once.  Sampled ``trials`` are tuples;
+    an exhaustive check takes the field's elements as ``trials`` and runs
+    one nested ``for`` per variable, the first outermost, so the trials come
+    in ``itertools.product`` order.  On the exact and complex kinds the
+    trial's session comes first, ``[session, v0, v1, ...]``, and ``domain``
+    is not read; complex values bring their own ``sign()``, and closed
+    subterms stay exact values.
 
-    The nodes are emitted in the order the walks first evaluate them, each
-    distinct subterm once per trial, so the exact session adjoins the same
-    roots in the same order.  Over a field, sums, products and negations stay
-    in Z and are reduced once at the end, and the node where the walk raises,
-    before its children, becomes a ``raise``.  Only ints and ``repr`` of
-    variable names go into the source; an int of more than one 640-digit
-    chunk is written in hex, which compiles under any int-to-str digit limit.
+    Each distinct subterm is computed once per binding of its variables, by
+    a level rule.  Level k > 0 is the body of the loop that binds the k-th
+    variable (a flat loop binds them all at level 1) and level 0 is outside
+    every loop.  A subterm's line sits at the level of its last-bound
+    variable, but never above the deepest premise test written before it,
+    so a skip or a ``raise`` happens in the trial where the walks have it.
+    A premise that fails at level k of N variables over F_p skips
+    ``p ** (N - k)`` trials at once; a closed one runs in a one-pass loop
+    so that it too can ``continue``.  The two sides are compared in the
+    innermost loop.  A flat loop does not know its trial count, so its
+    premise tests and raises sit inside it.  An exact or complex value
+    belongs to its trial's session, so on those kinds every line is inside
+    the loop, in the order the walks first evaluate the nodes, and the
+    session adjoins the same roots in the same order.
+
+    Over a field, sums, products and negations stay in Z and are reduced
+    once, when the sides are compared, and a subterm read once, by a line
+    of its own level, is written inline there; on the exact kinds it keeps
+    its line, since inlining would reorder root adjoins.  The node where
+    the walk raises, before its children, becomes a ``raise``.  Only ints
+    and ``repr`` of variable names go into the source; an int of more than
+    one 640-digit chunk is written in hex, which compiles under any
+    int-to-str digit limit.
     """
-    lines: list[str] = []
+    exact = kind in ("exact", "complex")
+    nested = kind == "exhaustive"
+    depth = len(variables) if nested else 1
     # Value numbering: each node's slot by its constructor and its
     # children's slots (a leaf's by its value or name), so no term is hashed.
     slots = {(Var, name): f"v{i}" for i, name in enumerate(variables)}
-    unpack = ", ".join(slots.values())
-    exact = kind != "field"
-    if exact:
-        loop = [f"for [session, {unpack}] in trials:"]
-        lines.append("rational = session.rational")
-    else:
-        loop = ["inv = domain.inv", "p = domain.p", f"for [{unpack}] in trials:"]
+    levels = {slot: i + 1 if nested else 1 for i, slot in enumerate(slots.values())}
+    least = 1 if exact else 0  # an exact value belongs to its trial's session
+    tests = 0 if nested else 1  # the least level of a premise test or raise
+    floor = 0  # the level of the last premise test
+    # Each level's lines in order, as (template, operands, slot): an operand
+    # is a slot or text written as it is; a line with a slot defines it.
+    lines: list[list] = [[] for _ in range(depth + 1)]
+    readers: dict[str, list[int]] = {}  # the level of each line that reads a slot
     templates = _SOURCES[kind]
     reals: set[str] = set()  # the complex kind's slots of closed subterms, exact values
+
+    def place(*operands: str, at: int = 0) -> int:
+        """The level of a line that reads ``operands``, noted as their reader."""
+        at = max(at, least, floor, *(levels.get(o, 0) for o in operands))
+        for o in operands:
+            readers.setdefault(o, []).append(at)
+        return at
 
     def enter(t: Term) -> Optional[str]:
         if isinstance(t, (Const, Var)) or type(t) in templates:
             return None
         error = _unevaluable(t)
-        lines.append(f"raise {type(error).__name__}({str(error)!r})")
+        at = levels["None"] = place(at=tests)
+        lines[at].append(("{}", (f"raise {type(error).__name__}({str(error)!r})",), None))
         return "None"  # every line after the raise is unreachable
 
     def leave(t: Term, *kids: str) -> str:
@@ -668,27 +708,64 @@ def _compile(
             else:
                 expr = f"{n} * inv({d})"
         else:
-            expr = (_EXACT_SOURCE if real else templates)[type(t)].format(*kids)
+            expr = (_EXACT_SOURCE if real else templates)[type(t)]
         name = slots[key] = f"t{len(slots)}"
         if real and kind == "complex":
             reals.add(name)
-        lines.append(f"{name} = {expr}")
+        levels[name] = at = place(*kids)
+        lines[at].append((expr, kids, name))
         return name
 
+    if exact:
+        lines[1].append(("rational = session.rational", (), None))
+    closed_test = False
     for left, right, relation in premises:
         a, b = _fold(left, leave, enter), _fold(right, leave, enter)
-        same = f"{a} == {b}" if exact else f"({a} - {b}) % p == 0"
-        lines.append(f"if {'not ' if relation == 'eq' else ''}{same}: skipped += 1; continue")
+        floor = place(a, b, at=tests)
+        closed_test |= floor == 0
+        if exact:
+            test = f"{'not ' if relation == 'eq' else ''}{{}} == {{}}"
+        else:
+            test = f"{'' if relation == 'eq' else 'not '}({{}} - {{}}) % p"
+        below = depth - floor  # the variables a failed test skips the values of
+        skip = "1" if below == 0 else "p" if below == 1 else f"p ** {below}"
+        lines[floor].append((f"if {test}: skipped += {skip}; continue", (a, b), None))
     a, b = _fold(lhs, leave, enter), _fold(rhs, leave, enter)
-    lines.append(f"lhs, rhs = {a}, {b}" if exact else f"lhs, rhs = {a} % p, {b} % p")
     valuation = "{%s}" % ", ".join(f"{n!r}: v{i}" for i, n in enumerate(variables))
-    lines += ["satisfied += 1", f"if lhs != rhs: refute({valuation}, lhs, rhs)"]
-    source = "def law(trials, domain, refute):\n    satisfied = skipped = 0\n"
-    source += "".join(f"    {line}\n" for line in loop)
-    source += "".join(f"        {line}\n" for line in lines)
-    source += "    return satisfied, skipped\n"
+    if exact:
+        compare = [("lhs, rhs = {}, {}", (a, b)), ("satisfied += 1", ())]
+        compare.append(("if lhs != rhs: refute({}, lhs, rhs)", (valuation,)))
+    else:
+        compare = [] if nested else [("satisfied += 1", ())]
+        compare.append(("if ({} - {}) % p: refute({}, {} % p, {} % p)", (a, b, valuation, a, b)))
+    for template, operands in compare:
+        lines[place(*operands, at=depth)].append((template, operands, None))
+
+    unpack = ", ".join(f"v{i}" for i in range(len(variables)))
+    source = ["def law(trials, domain, refute):"]
+    source.append("    skipped = 0" if nested else "    satisfied = skipped = 0")
+    source += [] if exact else ["    inv = domain.inv", "    p = domain.p"]
+    if closed_test:
+        source.append("    for _ in (None,):")
+    shown: dict[str, tuple] = {}  # each subterm written inline: its text and nesting
+    for at, level in enumerate(lines):
+        indent = "    " * (at + 1 + closed_test)
+        if at:
+            bound = f"v{at - 1}" if nested else f"[session, {unpack}]" if exact else f"[{unpack}]"
+            source.append(f"{indent[4:]}for {bound} in trials:")
+        for template, operands, name in level:
+            inline = [shown.pop(o, (o, 0)) for o in operands]
+            code = template.format(*(text for text, _ in inline))
+            nesting = 1 + max((inner for _, inner in inline), default=0)
+            if name is None:
+                source.append(indent + code)
+            elif not exact and readers[name] == [at] and nesting < _MAX_INLINE:
+                shown[name] = f"({code})", nesting  # read once, at its own level
+            else:
+                source.append(f"{indent}{name} = {code}")
+    source.append(f"    return {f'p ** {depth} - skipped' if nested else 'satisfied'}, skipped")
     namespace = {"EvalError": EvalError, "UnsupportedSymbolError": UnsupportedSymbolError}
-    exec(compile(source, "<compiled law>", "exec"), namespace)
+    exec(compile("\n".join(source) + "\n", "<compiled law>", "exec"), namespace)
     return namespace["law"]
 
 

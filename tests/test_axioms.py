@@ -371,6 +371,24 @@ class TestRandomizedExact:
             axioms.random_value(rng, s)
         assert s.depth == 8
 
+    def test_a_root_past_depth_8_after_the_first_root_is_a_negation(self):
+        s = Session()
+        for p in (3, 5, 7, 11, 13, 17, 19):
+            s.rational(p).ssqrt()
+        # 2/1, then two steps: a root, which makes the eighth level, and a
+        # root past the cap, which negates
+        script = iter([2, 1, 2, 0, 0])
+
+        class Scripted:
+            def choice(self, options):
+                value = next(script)
+                assert value in options
+                return value
+
+        value = axioms.random_value(Scripted(), s)
+        assert next(script, None) is None
+        assert s.depth == 8 and value == -s.rational(2).ssqrt()
+
     @staticmethod
     def _draws(session, rng, count, draw):
         values = [draw(rng, session) for _ in range(count)]
@@ -558,7 +576,7 @@ class TestComplexSuites:
 
     def test_a_law_false_off_the_real_line_is_refuted_on_its_own_variables(self):
         law = ComplexLaw("re-is-z", parse("x1"), parse("z1"))
-        assert (law.nvars, law.statement) == (1, "re(z) == z")
+        assert law.statement == "re(z) == z"
         report = check_complex_law(law, trials=40, seed=2)
         assert report.verdict == "fail" and report.failures
         for failure in report.failures:
@@ -585,13 +603,33 @@ class TestComplexSuites:
             assert restricted.lhs == on_real_parts(law.lhs)
             assert restricted.rhs == on_real_parts(law.rhs)
 
+    def test_a_trial_draws_only_the_parts_its_law_reads(self, monkeypatch):
+        drawn = []
+        real_draw = axioms.random_value
+
+        def counted(rng, session):
+            drawn.append(session)
+            return real_draw(rng, session)
+
+        def parts(names):  # re(z), and im(z) if z or conj(z) is read; then re(w), im(w)
+            z = 2 if names & {"z1", "c1"} else 1 if "x1" in names else 0
+            return z + (2 if "z2" in names else 1 if "x2" in names else 0)
+
+        monkeypatch.setattr(axioms, "random_value", counted)
+        laws = (*catalog().Complex, *catalog().ComplexRestricted)
+        laws += (ComplexLaw("w-only", parse("z2 * x2"), parse("x2 * z2")),)
+        laws += (ComplexLaw("one", parse("1"), parse("1")),)
+        for law in laws:
+            drawn.clear()
+            check_complex_law(law, trials=7, seed=3)
+            assert len(drawn) == 7 * parts(set(law.variables)), law.name
+
     def test_closed_laws_read_no_value(self):
         law = ComplexLaw("one", parse("1"), parse("1"))
-        assert (law.variables, law.nvars) == ((), 0)
+        assert law.variables == ()
         assert check_complex_law(law, trials=3).verdict == "pass"
         # a closed subterm is an exact value, whose sign is still a value
         signs = ComplexLaw("closed-sign", parse("inv(s(-2)) * z1 + s(3)"), parse("1 - z1"))
-        assert signs.nvars == 1
         assert check_complex_law(signs, trials=20).verdict == "pass"
 
 

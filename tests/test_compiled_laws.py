@@ -9,10 +9,11 @@ loops must report the same over every prefix of the trials, so each trial
 gets the same verdict (skipped, equal, or refuted with both sides), the
 counts agree, and an error has the same class and message and ends the same
 trial.  On the exact model, each trial's session must also end with the same
-tower, so the compiled code adjoins the same roots in the same order.  Last,
-every field law of the catalog gives the same report as one built with
-``eval_mod_p``, which walks each side once over columns that hold every
-valuation.
+tower, so the compiled code adjoins the same roots in the same order.  An
+exhaustive loop over a prime field, one nested ``for`` per variable, must
+report what the walk reports over ``product`` order.  Last, every field law
+of the catalog gives the same report as one built with ``eval_mod_p``,
+which walks each side once over columns that hold every valuation.
 """
 
 import gc
@@ -42,11 +43,14 @@ from meadows.axioms import (
 from meadows.exact import Session
 from meadows.finite import PrimeField, primes_upto
 from meadows.terms import (
+    ONE,
     SIGMA_M,
     SIGMA_MSS,
+    ZERO,
     Const,
     Sign,
     Sqrt,
+    Var,
     _compile,
     _subterms,
     eval_exact,
@@ -115,24 +119,32 @@ def tally(loop, trials, domain):
 
 
 @st.composite
-def laws(draw, signature, max_size, holes=False):
+def laws(draw, signature, max_size, holes=False, variables=VARIABLES):
     # "c" becomes one rational constant; its denominator is a multiple of
-    # every prime up to 60 a fifth of the time.
+    # every prime up to 60 a fifth of the time.  Each premise reads only the
+    # first k variables, for a k drawn per premise, so some are closed;
+    # half of the open ones test one of them against 0, 1 or 2, so that a
+    # premise fails in the first trial and holds in a later one.
     denominator = draw(st.sampled_from((1, 3, 7, 12, prod(PRIMES))))
     constant = Const(Fraction(draw(st.integers(0, 50)), denominator))
 
-    def term():
+    def term(names=variables):
         seed, size = draw(st.integers(0, 2**32)), draw(st.integers(1, max_size))
         if holes and draw(st.integers(0, 4)) == 0:
-            t = gen_random_context(seed, max(size, 2), signature, (*VARIABLES, "c"))
+            t = gen_random_context(seed, max(size, 2), signature, (*names, "c"))
         else:
-            t = gen_random_term(seed, size, signature, (*VARIABLES, "c"))
+            t = gen_random_term(seed, size, signature, (*names, "c"))
         return substitute(t, "c", constant)
 
-    premises = tuple(
-        (term(), term(), draw(st.sampled_from(("eq", "ne"))))
-        for _ in range(draw(st.integers(0, 2)))
-    )
+    def premise():
+        names = variables[: draw(st.integers(0, len(variables)))]
+        if names and draw(st.booleans()):
+            left, right = Var(draw(st.sampled_from(names))), Const(draw(st.integers(0, 2)))
+        else:
+            left, right = term(names), term(names)
+        return left, right, draw(st.sampled_from(("eq", "ne")))
+
+    premises = tuple(premise() for _ in range(draw(st.integers(0, 2))))
     return premises, term(), term()
 
 
@@ -228,6 +240,91 @@ def test_shared_subterms_are_computed_once():
         [(0, {"x": 2, "y": 4}, 1, 6)],
     )
     assert seen == [6, 1]
+
+
+# --------------------------------------------------------------------------
+# Exhaustive loops: one nested loop per variable
+# --------------------------------------------------------------------------
+
+
+class Bindings:
+    """The elements of F_p as an exhaustive loop takes them.  Each ``for``
+    over them binds the next variable, so ``index()`` is the place, in
+    ``product`` order, of the trial whose bound variables have their current
+    values and whose unbound ones their first."""
+
+    def __init__(self, p, nvars):
+        self.p, self.nvars, self.bound = p, nvars, []
+
+    def __iter__(self):
+        level = len(self.bound)
+        self.bound.append(None)
+        for value in range(self.p):
+            self.bound[level] = value
+            yield value
+        self.bound.pop()
+
+    def index(self):
+        values = self.bound + [0] * (self.nvars - len(self.bound))
+        return sum(v * self.p ** (self.nvars - 1 - i) for i, v in enumerate(values))
+
+
+def exhaustive_tally(loop, p, nvars):
+    """``tally`` of an exhaustive loop over F_p, each trial numbered by its
+    place in ``product`` order."""
+    bindings, refuted = Bindings(p, nvars), []
+
+    def refute(valuation, lhs, rhs):
+        refuted.append((bindings.index(), valuation, lhs, rhs))
+
+    try:
+        ending = loop(bindings, PrimeField(p), refute)
+    except ValueError as exc:  # EvalError and UnsupportedSymbolError
+        ending = type(exc), str(exc), bindings.index()
+    return ending, refuted
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_exhaustive_loop_matches_the_walk_over_product(data):
+    # premises at every level, closed ones included, and s, sqrt and holes,
+    # which must raise in the trial where the walk raises
+    nvars, p = data.draw(st.integers(0, 3)), data.draw(st.sampled_from((2, 3, 5)))
+    variables = VARIABLES[:nvars]
+    signature, holes = data.draw(st.sampled_from(((SIGMA_M, False), (SIGMA_MSS, True))))
+    premises, lhs, rhs = data.draw(laws(signature, 10, holes, variables))
+    nested = _compile(variables, premises, lhs, rhs, "exhaustive")
+    walked = walk_loop(variables, premises, lhs, rhs, exact=False)
+    trials = product(range(p), repeat=nvars)
+    assert exhaustive_tally(nested, p, nvars) == tally(walked, trials, PrimeField(p))
+
+
+def test_exhaustive_loops_compute_a_subterm_once_per_binding_of_its_variables():
+    seen = []
+
+    class Counting(PrimeField):
+        __slots__ = ()
+
+        def inv(self, a):
+            seen.append(a)
+            return super().inv(a)
+
+    law = Equation("inv-of-product", parse("inv(x) * inv(y)"), parse("inv(x * y)"))
+    report = check_equation(law, Counting(7), mode="exhaustive")
+    assert (report.verdict, report.trials) == ("pass", 49)
+    # inv(x) once per x, where the flat loop took it once per (x, y); then
+    # inv(y) and inv(x * y) once per (x, y)
+    assert len(seen) == 7 + 2 * 49
+    assert seen[:: 1 + 2 * 7] == list(range(7))
+
+
+def test_a_closed_law_is_one_trial_over_a_field_of_any_size():
+    p = 18446744073709551629  # the least prime above 2**64
+    for premises, counts in (((), (1, 0)), (((ONE, ZERO, "eq"),), (0, 1))):
+        law = ConditionalEquation("closed", premises, parse("1 + 1"), parse("2"))
+        report = check_equation(law, p)
+        assert (report.mode, report.trials, report.verdict) == ("exhaustive", 1, "pass")
+        assert (report.satisfied, report.skipped) == counts
 
 
 # --------------------------------------------------------------------------
@@ -392,7 +489,7 @@ def test_checking_fresh_laws_grows_no_module_container():
     for i in range(1000):
         check_equation(_fresh_law(i), 3)
     gc.collect()
-    assert set(warm._loops) == {"exact", "field"}  # the law holds its loops
+    assert set(warm._loops) == {"exact", "exhaustive"}  # the law holds its loops
     assert _module_containers() == before
 
 
