@@ -45,6 +45,17 @@ one-coordinate case: for the content ``g`` of ``num`` and ``g*den == m*m*f``
 (``f`` square-free) the radicand is ``num/g * f``, ``(f, 0, ..., 0)`` for a
 rational, and the root ``m/den`` times its root, canonical after one ``gcd``.
 
+Every sign is exact, and in a multiquadratic tower most are settled by an
+integer enclosure first (a filtered predicate, after Shewchuk 1997 and the
+exact number types of CGAL, LEDA and CORE).  For a vector of width 8 or
+more and ``r_S == isqrt(P[S] << 2b)``, ``r_S <= 2**b * sqrt(P[S]) < r_S + 1``
+gives ``c_S * r_S`` and ``c_S * (r_S + 1)`` as bounds of each scaled
+summand, so ``2**b`` times the value lies in ``[A + low, A + high]`` with
+``A == sum(c_S * r_S)`` and ``low``, ``high`` the sums of the negative and
+the positive coordinates.  An interval that excludes 0 at b = 64, 256 or
+1024 gives the sign; one that straddles 0 leaves it to the exact recursion,
+which compares ``u*u`` against ``v*v*r`` one level down.
+
 Each session also memoizes the positive root of every argument of ``ssqrt``
 whose root is irrational, since finding such a root again means a fresh
 search down the whole tower.  The tower only grows and the positive root is
@@ -63,6 +74,7 @@ and attempting to do so raises :class:`SessionMismatch`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, prod
 from operator import add, itemgetter, sub
 from typing import Optional, Union
@@ -191,11 +203,44 @@ def _vinv(tower: Session, a: tuple) -> tuple[tuple, int]:
     return _reduced(_vmul(tower, u, num) + _vneg(_vmul(tower, v, num)), den)
 
 
+def _enclosed_sign(tower: Session, a: tuple) -> SignValue:
+    """The sign of ``a`` from its integer enclosures (see :func:`_vsign`), 0 if none excludes 0."""
+    products = tower._products
+    coords = [(a[i], products[i]) for i in compress(range(len(a)), a)]
+    low = sum(c for c, _ in coords if c < 0)
+    high = sum(c for c, _ in coords if c > 0)
+    for shift in (128, 512, 2048):  # 2b
+        total = sum([c * isqrt(p << shift) for c, p in coords])
+        if total + low > 0:
+            return 1
+        if total + high < 0:
+            return -1
+    return 0
+
+
 def _vsign(tower: Session, a: tuple) -> SignValue:
+    """The exact sign of the vector ``a``, filtered in multiquadratic towers.
+
+    There, a vector of width 8 or more is first bounded in integers.  For
+    each nonzero coordinate ``c_S``, ``r_S == isqrt(P[S] << 2b)`` gives
+    ``r_S <= 2**b * sqrt(P[S]) < r_S + 1``, so ``c_S * 2**b * sqrt(P[S])``
+    lies between ``c_S * r_S`` and ``c_S * (r_S + 1)``, and ``2**b`` times
+    the value lies in ``[A + low, A + high]`` for ``A == sum(c_S * r_S)``,
+    ``low`` the sum of the negative ``c_S`` and ``high`` of the positive
+    ones.  When that interval excludes 0 it gives the sign, at b = 64, 256
+    or 1024 (:func:`_enclosed_sign`); otherwise the exact recursion over
+    the top level decides, and its sub-signs are filtered in turn.
+    Narrower vectors and nested towers take the recursion alone, which is
+    cheaper there.
+    """
     n = len(a)
     if n == 1:
         c = a[0]
         return (c > 0) - (c < 0)
+    if n >= 8 and tower._products is not None:
+        sign = _enclosed_sign(tower, a)
+        if sign:
+            return sign
     h = n // 2
     u, v = a[:h], a[h:]
     if not any(v):

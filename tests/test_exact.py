@@ -1,6 +1,7 @@
 """Kernel tests: tower arithmetic, totalized inverse/sign/root, dedup."""
 
 import random
+import time
 from fractions import Fraction
 from operator import add, mul, sub, truediv
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meadows import exact
+from meadows.approx import approx_fraction, enclose
 from meadows.axioms import random_value
 from meadows.exact import Real, Session, SessionMismatch, TowerInvariantError, _vmul
 
@@ -108,6 +110,86 @@ class TestSignAndOrder:
             assert sg in (-1, 0, 1)
             assert (sg == 0) == x.is_zero()
             assert (-x).sign() == -sg
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def _exact_sign(tower, a):
+    """The sign of ``a`` by the exact recursion alone, unfiltered at every level."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_enclosed_sign", lambda tower, a: 0)
+        return exact._vsign(tower, a)
+
+
+class TestFilteredSign:
+    """Wide multiquadratic signs come from an integer enclosure when it excludes 0.
+
+    The exact recursion, unfiltered at every level, is the oracle, and so is
+    any ``approx.enclose`` interval that excludes 0 (an independent channel).
+    """
+
+    @staticmethod
+    def _tower(rng, depth):
+        sess = Session()
+        while sess.depth < depth:
+            sess.rational(rng.randint(2, 400), rng.randint(1, 9)).ssqrt()
+        return sess
+
+    @staticmethod
+    def _sparse(rng, n):
+        a = [0] * n
+        for mask in rng.sample(range(n), rng.randint(1, 5)):
+            a[mask] = rng.randint(-99, 99)
+        return tuple(a)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_filter_agrees_with_the_recursion_and_the_enclosure(self, seed):
+        rng = random.Random(seed)
+        sess = self._tower(rng, 3 + seed % 8)
+        n = 1 << sess.depth
+        forms = [self._sparse(rng, n) for _ in range(4)]
+        vectors = [(0,) * n, *forms, _vmul(sess, forms[0], forms[1]), _vmul(sess, forms[2], forms[3])]
+        if sess.depth <= 6:
+            vectors.append(tuple(rng.randint(-20, 20) for _ in range(n)))
+        for a in vectors:
+            sign = exact._vsign(sess, a)
+            assert sign == _exact_sign(sess, a)
+            lo, hi = enclose(Real(sess, a), Fraction(1, 10**6))
+            if lo > 0 or hi < 0:
+                assert sign == (1 if lo > 0 else -1)
+
+    @pytest.mark.parametrize("depth", [3, 5, 6])
+    @pytest.mark.parametrize("digits", [15, 40, 400])
+    def test_near_zero_signs_fall_back_only_past_the_last_precision(self, depth, digits):
+        # q truncates x toward 0, so 0 < x - q < 10**-digits: one filter step
+        # settles both signs at 15 digits, the second at 40, and none at 400,
+        # where the recursion decides
+        fallbacks, enclosed = [], exact._enclosed_sign
+
+        def counted(tower, a):
+            sign = enclosed(tower, a)
+            if not sign:
+                fallbacks.append(len(a))
+            return sign
+
+        sess = Session()
+        x = sum((sess.rational(p).ssqrt() for p in PRIMES[:depth]), sess.zero)
+        q = approx_fraction(x, digits)
+        below, above = x - q, x - q - Fraction(1, 10**digits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact, "_enclosed_sign", counted)
+            assert (below.sign(), above.sign()) == (1, -1)
+        assert bool(fallbacks) == (digits == 400)
+
+    def test_large_tower_signs_meet_their_budget(self):
+        # the recursion took 0.66 s at 12 primes and 0.69-0.87 s at 16
+        for n, budget in ((12, 0.05), (16, 0.25)):
+            sess = Session()
+            x = sum((sess.rational(p).ssqrt() for p in PRIMES[:n]), sess.zero) - 40
+            start = time.perf_counter()
+            assert x.sign() == 1
+            assert time.perf_counter() - start < budget
 
 
 class TestSignedSqrt:
@@ -322,8 +404,6 @@ class TestSessionDiscipline:
         assert s.zero**-1 == 0  # totalized
 
     def test_large_power_is_square_and_multiply(self, s):
-        import time
-
         r2 = s.value(2).ssqrt()
         start = time.perf_counter()
         assert r2**200000 == 2**100000
