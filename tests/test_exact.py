@@ -183,7 +183,7 @@ class TestFilteredSign:
         assert bool(fallbacks) == (digits == 400)
 
     def test_large_tower_signs_meet_their_budget(self):
-        # the recursion took 0.66 s at 12 primes and 0.69-0.87 s at 16
+        # the unfiltered recursion takes 0.7-1.1 s at 12 primes and at 16
         for n, budget in ((12, 0.05), (16, 0.25)):
             sess = Session()
             x = sum((sess.rational(p).ssqrt() for p in PRIMES[:n]), sess.zero) - 40
