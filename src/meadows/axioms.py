@@ -485,11 +485,24 @@ def resolve_model(model: Model):
     return PrimeField(-p if m[1] == "-" else p)
 
 
-# What ``random_value`` draws from.  ``rng.choice(range(a, b + 1))`` draws
-# exactly as ``rng.randint(a, b)`` does, with fewer frames.
+# What ``random_value`` draws from, each through :func:`_pick`, which draws
+# exactly as ``rng.choice`` and so as ``rng.randint(a, b)`` for ``range(a, b + 1)``.
 _NUMERATORS, _DENOMINATORS = range(-9, 10), range(1, 10)
 _STEPS, _OPS = range(4), range(5)
 _SHIFTS, _SCALES = range(-3, 4), range(1, 4)
+
+
+def _pick(getrandbits, seq: range) -> int:
+    """``rng.choice(seq)`` for ``getrandbits == rng.getrandbits``, without its
+    frames: CPython's ``choice`` (3.10 to 3.13) draws ``n.bit_length()`` bits
+    for ``n == len(seq)`` until they fall below ``n`` and indexes by them, so
+    this takes the same values and leaves the same state."""
+    n = len(seq)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return seq[r]
 
 
 def random_value(rng: random.Random, session: Session) -> Real:
@@ -504,12 +517,12 @@ def random_value(rng: random.Random, session: Session) -> Real:
     ``rng``, the value and the session's tower and root memo are those of
     ``Real`` operations on every step.
     """
-    choice = rng.choice
-    p, q = choice(_NUMERATORS), choice(_DENOMINATORS)
-    steps = choice(_STEPS)
+    bits = rng.getrandbits
+    p, q = _pick(bits, _NUMERATORS), _pick(bits, _DENOMINATORS)
+    steps = _pick(bits, _STEPS)
     while steps:  # the value is p/q, reduced when it becomes a Real
         steps -= 1
-        op = choice(_OPS)
+        op = _pick(bits, _OPS)
         if op == 0 and session.depth < 8:
             value = session.rational(p, q).ssqrt()
             break
@@ -517,15 +530,15 @@ def random_value(rng: random.Random, session: Session) -> Real:
             if p:
                 p, q = q, p
         elif op == 3:
-            p += choice(_SHIFTS) * q
+            p += _pick(bits, _SHIFTS) * q
         elif op == 4:
-            p, q = p * choice(_SHIFTS), q * choice(_SCALES)
+            p, q = p * _pick(bits, _SHIFTS), q * _pick(bits, _SCALES)
         else:  # negation, also in place of a root past depth 8
             p = -p
     else:
         return session.rational(p, q)
     for _ in range(steps):
-        op = choice(_OPS)
+        op = _pick(bits, _OPS)
         if op == 0 and session.depth >= 8:
             op = 2
         if op == 0:
@@ -535,9 +548,9 @@ def random_value(rng: random.Random, session: Session) -> Real:
         elif op == 2:
             value = -value
         elif op == 3:
-            value = value + session.rational(choice(_SHIFTS))
+            value = value + session.rational(_pick(bits, _SHIFTS))
         else:
-            value = value * session.rational(choice(_SHIFTS), choice(_SCALES))
+            value = value * session.rational(_pick(bits, _SHIFTS), _pick(bits, _SCALES))
     return value
 
 

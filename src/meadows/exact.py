@@ -36,6 +36,8 @@ exactly when ``q * P[S]`` is a rational square for some mask ``S``, which is
 then unique (Kummer theory; Besicovitch 1940).  So the root of a rational is
 decided by one scan of the table instead of a search of the tower, and built
 without the vector kernel: it is ``sqrt(num*den*P[S]) / (den*P[S]) * e_S``.
+:meth:`Real.ssqrt` takes that lane straight from a rational's numerator, with
+no call to the sign kernel and no negated copy.
 Once a *nested* radicand is adjoined, the table is dropped for good, and
 products and root searches recurse over the levels: such a tower can hold
 the root of a rational it never adjoined, e.g. ``sqrt(5 + 2*sqrt(6)) ==
@@ -45,6 +47,12 @@ one-coordinate case: for the content ``g`` of ``num`` and ``g*den == m*m*f``
 (``f`` square-free) the radicand is ``num/g * f``, ``(f, 0, ..., 0)`` for a
 rational, and the root ``m/den`` times its root, canonical after one ``gcd``.
 
+A rational operand has a scalar lane through the ring operations too, as in
+FLINT's ``fmpq_poly_scalar_mul_fmpq``: a product with ``c/d`` scales the
+numerators after one ``gcd`` against each denominator, and a sum changes
+coordinate 0, in the lower half, so neither pads the rational to the full
+width, runs the vector kernel or re-trims the result.
+
 Every sign is exact, and in a multiquadratic tower most are settled by an
 integer enclosure first (a filtered predicate, after Shewchuk 1997 and the
 exact number types of CGAL, LEDA and CORE).  For a vector of width 8 or
@@ -52,8 +60,8 @@ more and ``r_S == isqrt(P[S] << 2b)``, ``r_S <= 2**b * sqrt(P[S]) < r_S + 1``
 gives ``c_S * r_S`` and ``c_S * (r_S + 1)`` as bounds of each scaled
 summand, so ``2**b`` times the value lies in ``[A + low, A + high]`` with
 ``A == sum(c_S * r_S)`` and ``low``, ``high`` the sums of the negative and
-the positive coordinates.  An interval that excludes 0 at b = 64, 256 or
-1024 gives the sign; one that straddles 0 leaves it to the exact recursion,
+the positive coordinates.  An interval that excludes 0 at b = 64, 256, 1024
+or 4096 gives the sign; one that straddles 0 leaves it to the exact recursion,
 which compares ``u*u`` against ``v*v*r`` one level down.
 
 Each session also memoizes the positive root of every argument of ``ssqrt``
@@ -121,19 +129,20 @@ def _zeros(n: int) -> tuple:
 
 
 def _vneg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def _vscale(a: tuple, q: int) -> tuple:
-    return tuple(q * x for x in a)
+    return tuple([q * x for x in a])
 
 
-def _reduced(num: tuple, den: int) -> tuple[tuple, int]:
-    """``num/den`` with the common content divided out (``den > 0``)."""
-    g = gcd(den, *num)
+def _reduced(num: tuple, den: int, bound: int = 0) -> tuple[tuple, int]:
+    """``num/den`` with the common content divided out (``den > 0``); a
+    nonzero ``bound`` is a multiple of that content, searched instead of ``den``."""
+    g = gcd(bound or den, *num)
     if g == 1:
         return num, den
-    return tuple(x // g for x in num), den // g
+    return tuple([x // g for x in num]), den // g
 
 
 def _radicand_for(tower: Session, n: int) -> tuple:
@@ -209,7 +218,7 @@ def _enclosed_sign(tower: Session, a: tuple) -> SignValue:
     coords = [(a[i], products[i]) for i in compress(range(len(a)), a)]
     low = sum(c for c, _ in coords if c < 0)
     high = sum(c for c, _ in coords if c > 0)
-    for shift in (128, 512, 2048):  # 2b
+    for shift in (128, 512, 2048, 8192):  # 2b
         total = sum([c * isqrt(p << shift) for c, p in coords])
         if total + low > 0:
             return 1
@@ -227,8 +236,8 @@ def _vsign(tower: Session, a: tuple) -> SignValue:
     lies between ``c_S * r_S`` and ``c_S * (r_S + 1)``, and ``2**b`` times
     the value lies in ``[A + low, A + high]`` for ``A == sum(c_S * r_S)``,
     ``low`` the sum of the negative ``c_S`` and ``high`` of the positive
-    ones.  When that interval excludes 0 it gives the sign, at b = 64, 256
-    or 1024 (:func:`_enclosed_sign`); otherwise the exact recursion over
+    ones.  When that interval excludes 0 it gives the sign, at b = 64, 256,
+    1024 or 4096 (:func:`_enclosed_sign`); otherwise the exact recursion over
     the top level decides, and its sub-signs are filtered in turn.
     Narrower vectors and nested towers take the recursion alone, which is
     cheaper there.
@@ -571,8 +580,27 @@ class Real:
     def _combine(self, peer: Real, op) -> Real:
         a, b = self._num, peer._num
         da, db = self._den, peer._den
-        if len(a) == 1 == len(b):
-            return self._session.rational(op(a[0] * db, b[0] * da), da * db)
+        if len(a) == 1 or len(b) == 1:
+            if len(a) == len(b):
+                return self._session.rational(op(a[0] * db, b[0] * da), da * db)
+            # One rational operand c/d enters coordinate 0 alone, which lies
+            # in the lower half, so the sum stays trimmed.  Over the common
+            # denominator den/g * d for g == gcd(den, d), a prime that divides
+            # it and every coordinate divides g (as for Fraction sums).
+            if len(a) == 1:  # q op x == op(0, x) + q
+                c, d, num, den, t = a[0], da, b, db, op(0, 1)
+            else:  # x op q == x + op(0, q)
+                c, d, num, den, t = op(0, b[0]), db, a, da, 1
+            g = gcd(den, d)
+            s = den // g
+            t *= d // g
+            if t != 1:
+                num = _vscale(num, t)
+            num = (num[0] + c * s, *num[1:])
+            den = s * d
+            if g != 1:
+                num, den = _reduced(num, den, g)
+            return _canonical(self._session, num, den)
         n = max(len(a), len(b))
         a, b = self._lifted(n), peer._lifted(n)
         if da != db:
@@ -614,8 +642,24 @@ class Real:
         if peer is None:
             return NotImplemented
         a, b = self._num, peer._num
-        if len(a) == 1 == len(b):
-            return self._session.rational(a[0] * b[0], self._den * peer._den)
+        if len(a) == 1 or len(b) == 1:
+            if len(a) == len(b):
+                return self._session.rational(a[0] * b[0], self._den * peer._den)
+            # A rational c/d scales the numerators, which keeps them trimmed;
+            # c can share a factor only with den and num only with d, so one
+            # gcd against each makes the product canonical.
+            if len(a) == 1:
+                c, d, num, den = a[0], self._den, b, peer._den
+            else:
+                c, d, num, den = b[0], peer._den, a, self._den
+            if not c:
+                return _canonical(self._session, (0,), 1)
+            g = gcd(c, den)
+            if g != 1:
+                c, den = c // g, den // g
+            if d != 1:
+                num, d = _reduced(num, d)
+            return _canonical(self._session, _vscale(num, c), den * d)
         n = max(len(a), len(b))
         num = _vmul(self._session, self._lifted(n), peer._lifted(n))
         return Real(self._session, num, self._den * peer._den)
@@ -695,64 +739,55 @@ class Real:
     def ssqrt(self) -> Real:
         """Signed square root: the positive root of ``|x|`` carrying ``sign(x)``.
 
-        Answers from the session's root memo when it can; otherwise reuses a
-        root already expressible in the session tower when one exists, and
-        failing that adjoins a new level whose radicand is positive and
-        reduced by its square rational content.
+        Answers from the session's root memo when it can.  A rational in a
+        multiquadratic tower takes its sign from its numerator and, on a
+        miss, its root from one scan of the radicand products
+        (:func:`_rational_root`).  Any other value is left to :meth:`_root`,
+        which reuses a root already expressible in the session tower when one
+        exists.  Failing both, a new level is adjoined whose radicand is
+        positive and reduced by its square rational content
+        (:func:`_new_level`).  A root that is not rational is memoized.
         """
-        sg = self.sign()
+        session = self._session
+        num, den = self._num, self._den
+        rational = len(num) == 1 and session._products is not None
+        if rational:
+            c = num[0]
+            sg = (c > 0) - (c < 0)
+            key = ((abs(c),), den)
+        else:
+            sg = self.sign()
+            key = (num if sg > 0 else _vneg(num), den)
         if sg == 0:
             return self
-        y = self if sg > 0 else -self
-        session = self._session
-        key = (y._num, y._den)
         found = session._roots.get(key)
-        if found is None:
-            root = y._root()
-            if not root.is_rational():  # a rational root is cheap to find again
-                session._roots[key] = (root._num, root._den)
-        else:
+        if found is not None:
             root = _canonical(session, *found)
+        else:
+            if rational:
+                root = _rational_root(session, abs(c), den)
+            else:
+                root = _canonical(session, *key)._root()
+            if len(root._num) > 1:  # a rational root is cheap to find again
+                session._roots[key] = (root._num, root._den)
         return root if sg > 0 else -root
 
     def _root(self) -> Real:
-        """The positive root of this positive value, adjoining one if needed.
+        """The positive root of this positive value, outside the rational lane
+        of :meth:`ssqrt`: an irrational value, or a rational in a nested tower.
 
-        Every new level follows one rule, of which a rational is the
-        one-coordinate case: ``sqrt(num/den) == m/den * sqrt(num/g * f)``
-        for ``g == gcd(*num)`` and ``g*den == m*m*f``, so ``sqrt(8)`` is ``2 *
-        sqrt(2)``."""
+        The root search runs on ``sqrt(num/den) == sqrt(num*den) / den``; a
+        value without a root in the tower gets a new level (:func:`_new_level`).
+        """
         session = self._session
         num, den = self._num, self._den
-        half = 1 << session.depth
-        products = session._products
-        if products is not None and len(num) == 1:
-            # Kummer: sqrt(q) lies in a multiquadratic tower iff q * P[S] is
-            # a rational square for some mask S, and then for that S alone;
-            # sqrt(num/den) == sqrt(num*den*P[S]) / (den*P[S]) * e_S, whose
-            # vector ends at coordinate S, so it is already trimmed
-            nd = num[0] * den
-            for mask, p in enumerate(products):
-                t = nd * p
-                w = isqrt(t)
-                if w * w == t:
-                    d = den * p
-                    g = gcd(w, d)
-                    root = _zeros(mask) + (w // g,) + _zeros((1 << mask.bit_length()) - mask - 1)
-                    return _canonical(session, root, d // g)
-        else:
-            # sqrt(num/den) == sqrt(num*den) / den
-            w = _vsqrt_in_tower(session, _vscale(self._lifted(half), den))
-            if w is not None:
-                root, root_den = w
-                if _vsign(session, root) < 0:
-                    root = _vneg(root)
-                return Real(session, root, root_den * den)
-        g = gcd(*num)  # positive: the value is positive, so some coord != 0
-        m, f = _square_free_split(g * den)
-        session._adjoin(tuple([c // g * f for c in num]) + _zeros(half - len(num)))
-        g = gcd(m, den)
-        return _canonical(session, _zeros(half) + (m // g,) + _zeros(half - 1), den // g)
+        w = _vsqrt_in_tower(session, _vscale(self._lifted(1 << session.depth), den))
+        if w is None:
+            return _new_level(session, num, den)
+        root, root_den = w
+        if _vsign(session, root) < 0:
+            root = _vneg(root)
+        return Real(session, root, root_den * den)
 
     def pseudo_unit(self) -> Real:
         """``x * inv(x)``: exactly 1 for nonzero values, 0 at zero."""
@@ -792,6 +827,44 @@ def _canonical(session: Session, num: tuple, den: int) -> Real:
     value = object.__new__(Real)
     value._session, value._num, value._den = session, num, den
     return value
+
+
+def _rational_root(session: Session, num: int, den: int) -> Real:
+    """The positive root of ``num/den`` (coprime, positive) in a multiquadratic tower.
+
+    Kummer: ``sqrt(q)`` lies in the tower iff ``q * P[S]`` is a rational
+    square for some mask ``S``, and then for that ``S`` alone, so one scan
+    of the product table decides it.  Then ``sqrt(num/den) ==
+    sqrt(num*den*P[S]) / (den*P[S]) * e_S``, whose vector ends at coordinate
+    ``S``, so it is already trimmed; otherwise a new level is adjoined.
+    """
+    nd = num * den
+    for mask, p in enumerate(session._products):
+        t = nd * p
+        w = isqrt(t)
+        if w * w == t:
+            d = den * p
+            g = gcd(w, d)
+            root = _zeros(mask) + (w // g,) + _zeros((1 << mask.bit_length()) - mask - 1)
+            return _canonical(session, root, d // g)
+    return _new_level(session, (num,), den)
+
+
+def _new_level(session: Session, num: tuple, den: int) -> Real:
+    """The positive root of the positive value ``num/den``, as a new level.
+
+    Every new level follows one rule, of which a rational is the
+    one-coordinate case: ``sqrt(num/den) == m/den * sqrt(num/g * f)`` for
+    ``g == gcd(*num)`` and ``g*den == m*m*f``, so ``sqrt(8)`` is ``2 *
+    sqrt(2)`` and the radicand of a rational is ``(f, 0, ..., 0)``.  The
+    root is canonical after one ``gcd``.
+    """
+    half = 1 << session.depth
+    g = gcd(*num)  # positive: the value is positive, so some coord != 0
+    m, f = _square_free_split(g * den)
+    session._adjoin(tuple([c // g * f for c in num]) + _zeros(half - len(num)))
+    g = gcd(m, den)
+    return _canonical(session, _zeros(half) + (m // g,) + _zeros(half - 1), den // g)
 
 
 def _text(value: Real) -> str:

@@ -243,7 +243,10 @@ def parse(src: str) -> Term:
     open brackets (``"("`` or a function name), innermost last.  An operator
     is applied once one that binds no tighter follows it, or its bracket
     closes.  Each literal and each name is built once, so the leaves that
-    spell them alike are one node.
+    spell them alike are one node.  An integer literal, ``/`` and an integer
+    literal make one fraction literal, an atom, so a power after it raises
+    the fraction: ``3/10^2`` is ``(3/10)^2``, while ``sqrt(2)/10^2`` is
+    ``sqrt(2)/100``.
     """
     tokens = _TOKEN_RE.findall(src)
     tokens.append(("", "", ""))  # the end

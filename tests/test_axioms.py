@@ -376,14 +376,15 @@ class TestRandomizedExact:
         for p in (3, 5, 7, 11, 13, 17, 19):
             s.rational(p).ssqrt()
         # 2/1, then two steps: a root, which makes the eighth level, and a
-        # root past the cap, which negates
-        script = iter([2, 1, 2, 0, 0])
+        # root past the cap, which negates; each draw is (bits asked, index)
+        # into _NUMERATORS, _DENOMINATORS, _STEPS, _OPS and _OPS
+        script = iter([(5, 11), (4, 0), (3, 2), (3, 0), (3, 0)])
 
         class Scripted:
-            def choice(self, options):
-                value = next(script)
-                assert value in options
-                return value
+            def getrandbits(self, k):
+                bits, index = next(script)
+                assert bits == k
+                return index
 
         value = axioms.random_value(Scripted(), s)
         assert next(script, None) is None

@@ -160,11 +160,12 @@ class TestFilteredSign:
                 assert sign == (1 if lo > 0 else -1)
 
     @pytest.mark.parametrize("depth", [3, 5, 6])
-    @pytest.mark.parametrize("digits", [15, 40, 400])
+    @pytest.mark.parametrize("digits", [15, 40, 400, 1300])
     def test_near_zero_signs_fall_back_only_past_the_last_precision(self, depth, digits):
         # q truncates x toward 0, so 0 < x - q < 10**-digits: one filter step
-        # settles both signs at 15 digits, the second at 40, and none at 400,
-        # where the recursion decides
+        # settles both signs at 15 digits, the second at 40, the last (b =
+        # 4096, about 1233 digits) at 400, and none at 1300, where the
+        # recursion decides
         fallbacks, enclosed = [], exact._enclosed_sign
 
         def counted(tower, a):
@@ -180,7 +181,18 @@ class TestFilteredSign:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exact, "_enclosed_sign", counted)
             assert (below.sign(), above.sign()) == (1, -1)
-        assert bool(fallbacks) == (digits == 400)
+        assert bool(fallbacks) == (digits == 1300)
+
+    def test_signs_400_digits_from_zero_at_10_primes_meet_their_budget(self):
+        # the recursion took 2-4 s per sign before the filter reached b = 4096
+        sess = Session()
+        x = sum((sess.rational(p).ssqrt() for p in PRIMES[:10]), sess.zero)
+        q = approx_fraction(x, 400)
+        below, above = x - q, x - q - Fraction(1, 10**400)
+        for value, sign in ((below, 1), (above, -1)):
+            start = time.perf_counter()
+            assert value.sign() == sign
+            assert time.perf_counter() - start < 0.05
 
     def test_large_tower_signs_meet_their_budget(self):
         # the unfiltered recursion takes 0.7-1.1 s at 12 primes and at 16

@@ -1,4 +1,4 @@
-"""Differential tests for the rational short path through the exact layer.
+"""Differential tests for the rational short paths through the exact layer.
 
 Values of depth 0 are built, combined and printed without the vector kernel:
 ``Session.rational`` reduces int arguments by one ``gcd``, the ring
@@ -6,12 +6,15 @@ operations, ``inv`` and ``sign`` have a branch for two rationals that makes
 results already in canonical form, and ``str`` renders a rational from its
 numerator and denominator.  ``Fraction`` arithmetic is the oracle, and the
 validating ``Real`` constructor must find every result already canonical.
-It must also find the root of every rational already canonical, and the
-root of an irrational value whose new level is nested, which ``Real._root``
-builds by the same rule.
-``Real._root`` builds that root without the kernel in a multiquadratic tower,
-from the scan of radicand products or, for a new level, from the rational's
-square-free split; the tests cover such towers to depth 5 and a nested one.
+A value of a tower combined with one rational takes a scalar lane of ``*``,
+``+`` and ``-``, checked the same way against ``Fraction`` coordinates, over
+multiquadratic towers to depth 5 and a nested one.
+``Real.ssqrt`` takes the root of a rational in a multiquadratic tower from
+the scan of radicand products or, for a new level, from the rational's
+square-free split, without the sign kernel or the tower search; it must
+leave the root memo and the tower that the general path through
+``Real._root`` leaves.  The root of an irrational value whose new level is
+nested, which ``Real._root`` builds by the same rule, must be canonical too.
 Each session also keeps the rendered radical of every tower level, so
 ``str`` must agree with ``value_to_term`` run with that memo cleared.
 """
@@ -210,3 +213,117 @@ def test_roots_of_irrationals_are_canonical_and_adjoin_a_primitive_radicand(kind
             assert _square_free_split(content) == (1, content)
         s.check_invariants()
     assert nested >= 30
+
+
+def value_of(session, coords):
+    """The value with Fraction coordinates ``coords``, made by the validating constructor."""
+    den = 1
+    for c in coords:
+        den = den // gcd(den, c.denominator) * c.denominator
+    return Real(session, tuple(int(c * den) for c in coords), den)
+
+
+def canonical_coords(x):
+    """The Fraction coordinates of ``x``, after checking its form is canonical."""
+    again = Real(x.session, x._num, x._den)  # the validating constructor
+    assert (again._num, again._den) == (x._num, x._den) and x._den > 0
+    return x.coords
+
+
+def trimmed(coords):
+    """``coords`` with its zero top halves cut off, as a tuple."""
+    n = len(coords)
+    while n > 1 and not any(coords[n // 2 : n]):
+        n //= 2
+    return tuple(coords[:n])
+
+
+# Each lane with its oracle over Fraction coordinates ``c`` and a Fraction ``q``.
+LANES = {
+    "x*q": (lambda x, q: x * q, lambda c, q: [a * q for a in c]),
+    "q*x": (lambda x, q: q * x, lambda c, q: [q * a for a in c]),
+    "x+q": (lambda x, q: x + q, lambda c, q: [c[0] + q, *c[1:]]),
+    "q+x": (lambda x, q: q + x, lambda c, q: [q + c[0], *c[1:]]),
+    "x-q": (lambda x, q: x - q, lambda c, q: [c[0] - q, *c[1:]]),
+    "q-x": (lambda x, q: q - x, lambda c, q: [q - c[0], *(-a for a in c[1:])]),
+}
+TOWERS = [1, 2, 3, 4, 5, "nested"]
+small = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TOWERS), st.data(), rationals)
+def test_one_rational_operand_agrees_with_fraction_coordinates(kind, data, q):
+    """A value of the tower combined with a rational, as a value of the
+    session and as a Fraction, on either side: the scalar lanes of ``*``,
+    ``+`` and ``-``, which leave the vector kernel out."""
+    s = _tower(kind)
+    width = 1 << s.depth
+    # a common factor in the coordinates meets the denominator of q
+    content = data.draw(st.integers(1, 60))
+    coords = [c * content for c in data.draw(st.lists(small, min_size=width, max_size=width))]
+    x = value_of(s, coords)
+    for name, (op, oracle) in LANES.items():
+        expected = trimmed(oracle(coords, q))
+        for peer in (exact(s, q), q):
+            assert canonical_coords(op(x, peer)) == expected, name
+
+
+def general_ssqrt(x):
+    """``x.ssqrt()`` by the general path: the kernel's sign, the memo keyed
+    by ``|x|``, and ``Real._root``, whose tower search also finds the root of
+    a rational in a multiquadratic tower, and whose new level is the one of
+    the rational lane."""
+    s = x.session
+    sg = x.sign()
+    if sg == 0:
+        return x
+    y = x if sg > 0 else -x
+    key = (y._num, y._den)
+    found = s._roots.get(key)
+    if found is not None:
+        root = Real(s, *found)
+    else:
+        root = y._root()
+        if not root.is_rational():
+            s._roots[key] = (root._num, root._den)
+    return root if sg > 0 else -root
+
+
+def state(s):
+    return list(s._roots.items()), s._radicands, s._products
+
+
+def assert_rational_roots_match_the_general_path(kind, quotients):
+    """Take the signed root of each of ``quotients`` in turn in twin sessions,
+    by ``ssqrt`` and by :func:`general_ssqrt`; return how each root was found."""
+    ours, theirs = _tower(kind), _tower(kind)
+    found = []
+    for q in quotients:
+        hit = ((abs(q.numerator),), q.denominator) in ours._roots
+        depth = ours.depth
+        root = canonical_root(exact(ours, q))
+        other = general_ssqrt(exact(theirs, q))
+        assert (root._num, root._den) == (other._num, other._den)
+        assert state(ours) == state(theirs)
+        if hit:
+            found.append("hit")
+        elif q:
+            grew, rational = ours.depth > depth, root.is_rational()
+            found.append("level" if grew else "rational" if rational else "mask")
+    ours.check_invariants()
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, *TOWERS]), st.lists(small, min_size=1, max_size=6))
+def test_rational_roots_leave_the_memo_and_tower_of_the_general_path(kind, quotients):
+    assert_rational_roots_match_the_general_path(kind, quotients)
+
+
+def test_rational_roots_take_each_way_to_a_root():
+    # over sqrt(2) and sqrt(3): sqrt(6) at mask 3, 2 at mask 0, the memo for
+    # -6, and a new level for 5/4; then 125/9 lies at the new level's mask
+    quotients = [Fraction(6), Fraction(4), Fraction(-6), Fraction(5, 4), Fraction(125, 9)]
+    found = assert_rational_roots_match_the_general_path(2, quotients)
+    assert found == ["mask", "rational", "hit", "level", "mask"]
