@@ -29,7 +29,7 @@ from .terms import (
     SIGMA_MS,
     SIGMA_MSS,
     ParseError,
-    eval_exact,
+    _closed_value,
     gen_random_term,
     parse,
     render,
@@ -62,8 +62,7 @@ def _emit(data: Optional[dict], as_json: bool, text_lines: Sequence[str]) -> Non
 
 
 def _cmd_eval(args) -> int:
-    session = Session()
-    value = eval_exact(parse(args.term), {}, session)
+    value = _closed_value(args.term, Session())
     canonical = str(value)
     decimal = value.approx_decimal(args.digits)
     # The text never shows the sign, which can cost more than the rest.

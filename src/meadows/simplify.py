@@ -2,14 +2,14 @@
 
 Two independent services live here:
 
-* **Closed terms.**  :func:`normalize_closed` composes parse → evaluate →
-  print, so a closed term prints as the canonical form of its value, which
-  ``str`` writes straight from the value's coordinates; :func:`value_to_term`
-  reads that text back as a term.  That form is canonical only for a fixed
-  order of adjoined roots: ``sqrt(6)`` and ``sqrt(2)*sqrt(3)`` denote the
-  same number but normalise to ``sqrt(6)`` and ``sqrt(2) * sqrt(3)``.
-  :func:`decide_closed_eq` decides equality exactly, by evaluating both
-  terms in one session.
+* **Closed terms.**  :func:`normalize_closed` reads the term straight to
+  its exact value, then prints it, so a closed term prints as the canonical
+  form of its value, which ``str`` writes straight from the value's
+  coordinates; :func:`value_to_term` reads that text back as a term.  That
+  form is canonical only for a fixed order of adjoined roots: ``sqrt(6)``
+  and ``sqrt(2)*sqrt(3)`` denote the same number but normalise to
+  ``sqrt(6)`` and ``sqrt(2) * sqrt(3)``.  :func:`decide_closed_eq` decides
+  equality exactly, by reading both terms into one session.
 
 * **Rewriting.**  :data:`REWRITE_RULES` is a list of oriented identities (all
   sound for the exact model); :func:`rewrite_simplify` applies them
@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 from .exact import Real, Session
 from .terms import (
-    _NODE_TYPES, Const, Term, Var, _children, _fold, _rebuild, eval_exact, parse, render,
+    _NODE_TYPES, Const, Term, Var, _children, _closed_value, _fold, _rebuild, parse, render,
 )
 
 __all__ = [
@@ -41,19 +41,19 @@ __all__ = [
 
 
 def normalize_closed(src: str) -> str:
-    """Parse a closed term, evaluate it exactly, and render its canonical form."""
-    return str(eval_exact(parse(src), {}, Session()))
+    """Evaluate a closed term exactly, and render its canonical form."""
+    return str(_closed_value(src, Session()))
 
 
 def decide_closed_eq(left: str, right: str) -> bool:
     """Do two closed terms denote the same number?  Decided exactly."""
     session = Session()
-    return eval_exact(parse(left), {}, session) == eval_exact(parse(right), {}, session)
+    return _closed_value(left, session) == _closed_value(right, session)
 
 
 def sign_of_closed(src: str) -> int:
     """The sign (-1, 0, or 1) of the number a closed term denotes."""
-    return eval_exact(parse(src), {}, Session()).sign()
+    return _closed_value(src, Session()).sign()
 
 
 def value_to_term(value: Real) -> Term:

@@ -27,7 +27,10 @@ evaluation and law compilation run as loops over explicit stacks, so their
 work grows with a term's size and their frames do not grow with its depth:
 explicit caps such as :data:`MAX_EXPONENT` are the only limits.
 
-The parser reads the tokens in one pass of one regular expression, without
+One reading loop serves two builders: with the term builder it is
+:func:`parse`, and with the value builder it reads a closed term straight
+to its exact value, as :func:`eval_exact` of the parsed term would give it.
+The loop reads the tokens in one pass of one regular expression, without
 their positions; only an error makes a second pass of the same expression,
 to find where the failing token starts.  Within one parse, every occurrence
 of a literal or a name is the same node, so a parsed term may share its
@@ -221,19 +224,37 @@ def _error(src: str, message: str, index: int) -> ParseError:
     return ParseError(message, position)
 
 
-# How tightly each operator that waits on the parser's stack binds ("neg" is
-# the prefix minus), and what the infix ones build.
+# How tightly each operator that waits on the reading loop's stack binds
+# ("neg" is the prefix minus).
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
-_INFIX = {
+
+# The term builder: what each infix operator, the prefix minus and each
+# function symbol build.
+_TERM_OPS = {
     "+": Add,
     "-": lambda left, right: Add(left, Neg(right)),
     "*": Mul,
     "/": lambda left, right: Mul(left, Inv(right)),
+    "neg": Neg,
+    **_FUNCTIONS,
 }
 
 
 def parse(src: str) -> Term:
-    """The term ``src`` denotes, by one operator-precedence loop.
+    """The term ``src`` denotes, read by :func:`_read` with the term builder.
+
+    An integer literal, ``/`` and an integer literal make one fraction
+    literal, an atom, so a power after it raises the fraction: ``3/10^2`` is
+    ``(3/10)^2``, while ``sqrt(2)/10^2`` is ``sqrt(2)/100``.
+    """
+    return _read(src, _TERM_OPS, _literal_term, _leaf_term, _power_term)
+
+
+def _read(
+    src: str, ops: Mapping[str, Callable], literal: Callable, leaf: Callable, power: Callable
+) -> Any:
+    """What the builder ``ops``, ``literal``, ``leaf``, ``power`` makes of
+    ``src``, by one operator-precedence loop.
 
     The loop reads ``_TOKEN_RE``'s ``(numeral, name, symbol)`` triples, one
     of them nonempty, which come without positions; an error is raised at
@@ -241,17 +262,16 @@ def parse(src: str) -> Term:
     finds the token's position, or the first stray character, which wins.
     ``pending`` holds the operators not yet applied to ``operands`` and the
     open brackets (``"("`` or a function name), innermost last.  An operator
-    is applied once one that binds no tighter follows it, or its bracket
-    closes.  Each literal and each name is built once, so the leaves that
-    spell them alike are one node.  An integer literal, ``/`` and an integer
-    literal make one fraction literal, an atom, so a power after it raises
-    the fraction: ``3/10^2`` is ``(3/10)^2``, while ``sqrt(2)/10^2`` is
-    ``sqrt(2)/100``.
+    is applied, by ``ops[symbol]``, once one that binds no tighter follows
+    it, or its bracket closes, so the operands are built in post-order.
+    ``literal`` gets a numeral or a ``(numerator, denominator)`` pair of
+    numerals, ``leaf`` a name or ``"[]"``, each once per spelling, and
+    ``power(base, n, negative)`` a power ``^n`` or ``^-n``.
     """
     tokens = _TOKEN_RE.findall(src)
     tokens.append(("", "", ""))  # the end
     leaves: dict = {}  # by the literal's texts, or the name
-    operands: list[Term] = []
+    operands: list = []
     pending: list[str] = []
     i = 0
     while True:
@@ -275,13 +295,12 @@ def parse(src: str) -> Term:
                 i += 2
             atom = leaves.get(key)
             if atom is None:
-                atom = leaves[key] = _literal_term(key)
-        elif name:
-            atom = leaves.get(name)
+                atom = leaves[key] = literal(key)
+        elif name or symbol == "[]":
+            key = name or symbol
+            atom = leaves.get(key)
             if atom is None:
-                atom = leaves[name] = Var(name)
-        elif symbol == "[]":
-            atom = HOLE
+                atom = leaves[key] = leaf(key)
         else:
             raise _error(src, "expected a value", i - 1)
         operands.append(atom)
@@ -298,25 +317,21 @@ def parse(src: str) -> Term:
                 n = _parse_decimal(exponent)
                 if n > MAX_EXPONENT:
                     raise _error(src, f"exponent is over the cap of {MAX_EXPONENT}", i + negative)
-                base = operands[-1]
-                out = base if n else ONE  # inv(1) for ^-0 keeps the sugar faithful
-                for _ in range(n - 1):
-                    out = Mul(out, base)
-                operands[-1] = Inv(out) if negative else out
+                operands[-1] = power(operands[-1], n, negative)
                 numeral, name, symbol = tokens[i + negative + 1]
                 i += negative + 2
             binding = _BINDING.get(symbol)
             while pending and _BINDING.get(pending[-1], 0) >= (binding or 1):
                 op = pending.pop()
                 right = operands.pop()
-                operands.append(Neg(right) if op == "neg" else _INFIX[op](operands.pop(), right))
+                operands.append(ops[op](right) if op == "neg" else ops[op](operands.pop(), right))
             if binding is not None:
                 pending.append(symbol)
                 break
             if symbol == ")" and pending:
                 op = pending.pop()
                 if op != "(":
-                    operands[-1] = _FUNCTIONS[op](operands[-1])
+                    operands[-1] = ops[op](operands[-1])
             elif i == len(tokens) and not pending:
                 return operands[0]
             else:
@@ -331,6 +346,20 @@ def _literal_term(key: Union[str, tuple[str, str]]) -> Term:
         return Const(Fraction(_parse_decimal(key)))
     num, den = map(_parse_decimal, key)
     return Mul(Const(Fraction(num)), Inv(ZERO)) if den == 0 else Const(Fraction(num, den))
+
+
+def _leaf_term(text: str) -> Term:
+    """The term of a name, or of ``[]``."""
+    return HOLE if text == "[]" else Var(text)
+
+
+def _power_term(base: Term, n: int, negative: bool) -> Term:
+    """``base ^ n`` unrolled into a chain of products, ``inv`` of it if
+    ``negative``; ``base ^ 0`` is ``1`` and drops ``base``."""
+    out = base if n else ONE  # inv(1) for ^-0 keeps the sugar faithful
+    for _ in range(n - 1):
+        out = Mul(out, base)
+    return Inv(out) if negative else out
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +590,53 @@ def eval_exact(t: Term, valuation: Mapping[str, Real], session: Session) -> Real
         raise _unevaluable(t)
 
     return _fold(t, leave)
+
+
+# The value builder's operators: the kernel's, and its meadow extras.
+_VALUE_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "neg": operator.neg,
+    **{name: _EXACT_OPS[kind] for name, kind in _FUNCTIONS.items()},
+}
+# The exponent of each "^" or "^-", as _TOKEN_RE splits the tokens.
+_EXPONENT_RE = re.compile(r"\^\s*-?\s*(\d+)")
+
+
+def _closed_value(src: str, session: Session) -> Real:
+    """``eval_exact(parse(src), {}, session)``, read by :func:`_read` straight
+    to the value, with the same result and the same roots adjoined to
+    ``session`` in the same order.
+
+    The kernel builds each node's value as the loop completes it, in the
+    post-order of the term, so each ``sqrt`` is applied at its ``)``, where
+    the term's walk would reach it.  A literal is ``session.rational`` of its
+    ints and ``t ^ n`` is ``t ** n``, so ``t`` is read once.  Two kinds of
+    source take the term path instead: one with a zero exponent, since the
+    term drops ``t`` in ``t ^ 0`` unread and reading it could adjoin roots,
+    and one with a name or hole where the loop reaches it, whose error the
+    term path raises.  An invalid source is refused, with the error
+    :func:`parse` raises, only after its valid prefix has been evaluated.
+    """
+
+    def literal(key: Union[str, tuple[str, str]]) -> Real:
+        if type(key) is str:
+            return session.rational(_parse_decimal(key))
+        return session.rational(*map(_parse_decimal, key))
+
+    def leaf(text: str) -> Real:
+        raise EvalError(text)
+
+    if all(map(_parse_decimal, _EXPONENT_RE.findall(src))):
+        try:
+            return _read(
+                src, _VALUE_OPS, literal, leaf, lambda t, n, negative: t ** (-n if negative else n)
+            )
+        except EvalError:  # from leaf: the term path raises the error it has there
+            pass
+    return eval_exact(parse(src), {}, session)
 
 
 def eval_mod_p(t: Term, valuation: Mapping[str, int], field) -> int:
