@@ -25,29 +25,30 @@ The catalog groups the algebraic laws of the package into named suites:
 Every law is stated as terms over named variables, a :class:`ComplexLaw`
 over five: two random complex values ``z1`` and ``z2``, their real parts
 ``x1`` and ``x2``, and the conjugate ``c1`` of ``z1``.  :func:`check_equation`
-and :func:`check_conditional` evaluate the other laws either exhaustively
-(finite models) or on randomized valuations (exact model).
+and :func:`check_conditional` check a law of any kind, exhaustively (finite
+models) or on randomized valuations (exact model, where alone a complex law
+runs), and :func:`check_complex_law` checks one on the exact model.
 :func:`check_propagation` tests that multiplying by a pseudo-unit or
 pseudo-zero propagates through arbitrary one-hole contexts, and
-:func:`check_complex_law` runs the complex suites.  :func:`run_suite`
-dispatches a whole suite and returns one report per law.
+:func:`run_suite` checks a whole suite and returns one report per law.
 :func:`verify_f3_argument` replays the mod-3 separation argument with them.
 
-All four checkers share one tally.  Each runs its trials and calls
+Every law check runs through one driver, ``_check_law``, which shares one
+tally with the propagation check.  Each runs its trials and calls
 ``refute(valuation, lhs, rhs)`` for every trial whose two sides differ, then
 says how many trials had their premises hold and how many were skipped (an
 equation has no premises); the tally counts the refutations, keeps the first
 :data:`MAX_FAILURES` and builds the :class:`CheckReport`.  Each law is
-compiled once per model kind (exact, sampled or exhaustive field, or
-complex) into one Python loop over all its trials (``terms._compile``),
-which the law itself holds, so the code lives exactly as long as the law.
-Every kind takes a trial's values by position, in ``law.variables`` order:
-sampled prime-field tuples, exact or complex values, each trial led by its
-fresh session, ``[session, v0, v1, ...]``, or, for an exhaustive check, the
-field's elements, which one nested loop per variable binds in turn.  The
-valuation dict is built only for a refuting trial.  One function,
-``_random_valuation``, draws every exact trial, for laws, propagation and
-the complex suites alike.
+compiled once per model kind (its exact kind ``_kind``, exact or complex, or
+a sampled or exhaustive field) into one Python loop over all its trials
+(``terms._compile``), which the law itself holds, so the code lives exactly
+as long as the law.  Every kind takes a trial's values by position, in
+``law.variables`` order: sampled prime-field tuples, the law's own exact
+draws (``_draws``), each trial led by its fresh session, ``[session, v0, v1,
+...]``, or, for an exhaustive check, the field's elements, which one nested
+loop per variable binds in turn.  The valuation dict is built only for a
+refuting trial.  One function, ``_random_valuation``, draws every exact
+trial, for laws, propagation and the complex suites alike.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ class Equation:
     rhs: Term
     premises = ()  # not fields: the checker reads both from any law
     strategy = None
+    _kind = "exact"  # the compiled loop of its exact trials, and their report's model
 
     # A law is immutable, so each is computed once; ``cached_property`` keeps
     # it in the instance dict, which equality, hashing and ``replace`` ignore.
@@ -116,6 +118,11 @@ class Equation:
     @cached_property
     def _loops(self) -> dict[str, Callable]:
         return {}  # the compiled trial loop by model kind ("exact", "field", "complex")
+
+    def _draws(self, rng: random.Random, trials: int):
+        """The law's exact trials, ``[session, v0, v1, ...]`` each."""
+        nvars, strategy = len(self.variables), self.strategy
+        return (_random_valuation(rng, nvars, strategy, t) for t in range(trials))
 
     def __getstate__(self) -> dict:  # compiled code cannot be pickled; a copy compiles its own
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -149,8 +156,8 @@ class ConditionalEquation:
     rhs: Term
     strategy: Optional[str] = None
 
-    variables, _loops = Equation.variables, Equation._loops
-    __getstate__, __str__ = Equation.__getstate__, Equation.__str__
+    variables, _loops, _draws = Equation.variables, Equation._loops, Equation._draws
+    _kind, __getstate__, __str__ = Equation._kind, Equation.__getstate__, Equation.__str__
 
     def __post_init__(self) -> None:
         if self.strategy not in _STEERED_VARIABLES:
@@ -197,6 +204,7 @@ class ComplexLaw:
     lhs: Term
     rhs: Term
     premises = ()
+    _kind = "complex"
 
     variables, _loops = Equation.variables, Equation._loops
     __getstate__, __str__ = Equation.__getstate__, Equation.__str__
@@ -204,6 +212,15 @@ class ComplexLaw:
     def __post_init__(self) -> None:
         if not _SHOWN.keys() >= set(self.variables):
             raise ValueError(f"a complex law reads only z1, z2, x1, x2 and c1: {self.variables}")
+
+    def _draws(self, rng: random.Random, trials: int):
+        """Each variable built straight from the parts drawn for its value; a
+        trial draws only the parts its variables read, in draw order."""
+        builds = [_BUILDS[name] for name in self.variables]
+        places = (0, *sorted({place for read, _ in builds for place in read}))
+        for _ in range(trials):
+            draw = dict(zip(places, _random_valuation(rng, len(places) - 1)))
+            yield [draw[0], *[build(*[draw[i] for i in read]) for read, build in builds]]
 
     @cached_property
     def statement(self) -> str:  # an equation's, each name printed as ``_SHOWN`` says
@@ -628,36 +645,32 @@ def _random_valuation(rng, nvars: int, strategy=None, trial: int = 0) -> list:
     return values
 
 
-def _loop(law, kind: str):
-    """The law's trial loop for a model kind, compiled at its first check."""
-    if kind not in law._loops:
-        law._loops[kind] = _compile(law.variables, law.premises, law.lhs, law.rhs, kind)
-    return law._loops[kind]
-
-
 def _check_law(law, model, mode, trials, seed):
-    """Run an equation or conditional equation's compiled loop over exact
-    draws, each trial led by its fresh session, over sampled field tuples, or
-    over a field's elements, which an exhaustive loop binds to each variable
-    in turn."""
+    """The one driver of every law check: the law's compiled loop over its own
+    exact draws (each trial led by its fresh session), over sampled field
+    tuples, or over a field's elements, which an exhaustive loop binds to each
+    variable in turn.  A complex law runs only on the exact model."""
     resolved = resolve_model(model)
+    exact = resolved == "exact"
+    if law._kind == "complex" and not exact:
+        raise ValueError("complex laws only run on the exact model")
     nvars = len(law.variables)
     picked = _pick_mode(resolved, mode, nvars)
-    exact = resolved == "exact"
-    loop = _loop(law, "exact" if exact else "exhaustive" if picked == "exhaustive" else "field")
+    kind = law._kind if exact else "exhaustive" if picked == "exhaustive" else "field"
+    if kind not in law._loops:  # compiled at the law's first check on this kind
+        law._loops[kind] = _compile(law.variables, law.premises, law.lhs, law.rhs, kind)
     if picked == "exhaustive":
         valuations = resolved.elements()
     elif exact:
-        rng = random.Random(seed)
-        valuations = (_random_valuation(rng, nvars, law.strategy, t) for t in range(trials))
+        valuations = law._draws(random.Random(seed), trials)
     else:
         draw, p = random.Random(seed).randrange, resolved.p
         valuations = (tuple(draw(p) for _ in range(nvars)) for _ in range(trials))
     return _check(
-        lambda refute: loop(valuations, resolved, refute),
+        lambda refute: law._loops[kind](valuations, resolved, refute),
         law.name,
         law.statement,
-        "exact" if exact else f"fp:{resolved.p}",
+        law._kind if exact else f"fp:{resolved.p}",
         picked,
         trials,
         None if picked == "exhaustive" else seed,
@@ -666,27 +679,29 @@ def _check_law(law, model, mode, trials, seed):
 
 
 def check_equation(
-    eq: Equation,
+    eq: Law,
     model: Model = "exact",
     *,
     mode: Optional[str] = None,
     trials: int = 1000,
     seed: int = 0,
 ) -> CheckReport:
-    """Check one law against a model; its premises and strategy come from the law."""
+    """Check a law of any kind against a model; its premises, strategy and
+    exact draws come from the law, and a trial whose premises fail is skipped."""
     return _check_law(eq, model, mode, trials, seed)
 
 
 def check_conditional(
-    cond: ConditionalEquation,
+    cond: Law,
     model: Model = "exact",
     *,
     mode: Optional[str] = None,
     trials: int = 1000,
     seed: int = 0,
 ) -> CheckReport:
-    """Check a law's conclusion on valuations where its premises hold; other
-    valuations count as skipped.  Premises and strategy come from the law."""
+    """:func:`check_equation` under its second name, which gives the same
+    report for every law; a function of its own, so that wrapping one name
+    does not wrap the other."""
     return _check_law(cond, model, mode, trials, seed)
 
 
@@ -753,20 +768,9 @@ def check_propagation(
     )
 
 
-def check_complex_law(
-    law: ComplexLaw, *, trials: int = 500, seed: int = 0
-) -> CheckReport:
-    """Check one complex-extension law on random complex values, each of its
-    variables built straight from the parts drawn for its value; a trial
-    draws only the parts its variables read, in their order in the draw."""
-    rng, builds = random.Random(seed), [_BUILDS[name] for name in law.variables]
-    places = (0, *sorted({place for read, _ in builds for place in read}))
-    draws = (dict(zip(places, _random_valuation(rng, len(places) - 1))) for _ in range(trials))
-    valuations = (
-        [draw[0], *[build(*[draw[i] for i in read]) for read, build in builds]] for draw in draws
-    )
-    run = lambda refute: _loop(law, "complex")(valuations, None, refute)
-    return _check(run, law.name, law.statement, "complex", "randomized", trials, seed)
+def check_complex_law(law: ComplexLaw, *, trials: int = 500, seed: int = 0) -> CheckReport:
+    """:func:`check_equation` of a complex-extension law on the exact model."""
+    return _check_law(law, "exact", None, trials, seed)
 
 
 def run_suite(
@@ -783,16 +787,9 @@ def run_suite(
         known = ", ".join(sorted(suites))
         raise ValueError(f"unknown suite {_shown(name)}; known suites: {known}")
     resolved = resolve_model(model)  # once: building a field tests p for primality
-    reports = []
-    for law in suites[name]:
-        if isinstance(law, ComplexLaw):
-            if resolved != "exact":
-                raise ValueError("complex laws only run on the exact model")
-            _pick_mode(resolved, mode, 0)  # refuses an unknown or exhaustive mode
-            reports.append(check_complex_law(law, trials=trials, seed=seed))
-        else:  # the law tells the checker whether it is conditional
-            reports.append(check_equation(law, resolved, mode=mode, trials=trials, seed=seed))
-    return reports
+    return [
+        check_equation(law, resolved, mode=mode, trials=trials, seed=seed) for law in suites[name]
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -553,8 +553,14 @@ class TestComplexSuites:
                 assert report.model == "complex"
 
     def test_rejected_on_finite_models(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^complex laws only run on the exact model$"):
             run_suite("Complex", 7)
+        # the refusal comes before the mode is read, and from the one driver
+        for law in (*catalog().Complex, *catalog().ComplexRestricted):
+            with pytest.raises(ValueError, match="^complex laws only run on the exact model$"):
+                check_equation(law, 7)
+            with pytest.raises(ValueError, match="^complex laws only run on the exact model$"):
+                check_equation(law, "fp:7", mode="bogus")
 
     @pytest.mark.parametrize("name", ["Complex", "ComplexRestricted"])
     def test_the_mode_is_checked_as_for_an_exact_equation(self, name):
@@ -569,6 +575,12 @@ class TestComplexSuites:
         report = check_complex_law(catalog().Complex[0], trials=50, seed=9)
         assert report.verdict == "pass"
         assert report.trials == 50
+        # every law kind goes through one driver, and a complex law draws its own trials
+        for law in (*catalog().Complex, *catalog().ComplexRestricted):
+            for seed in (0, 7):
+                expected = check_complex_law(law, trials=40, seed=seed).to_dict()
+                assert check_equation(law, trials=40, seed=seed).to_dict() == expected
+                assert check_conditional(law, trials=40, seed=seed).to_dict() == expected
 
     def test_a_variable_outside_the_five_is_rejected(self):
         for source in ("y", "z3", "re"):
